@@ -5,7 +5,8 @@ Reports are JSON, bulk path data is CSV, graphs can be emitted as DOT.
 Commands read one model file and write one result to stdout (or --output);
 nothing is written on error. Exit codes: 0 success, 2 parse/usage errors,
 3 dimension or finiteness errors, 4 singular reduced block or duplicate
-intervention, 1 other failures.
+intervention, 5 simulated paths overflow (the model diverges over the
+horizon), 1 other failures.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ModelFileError,
     NonFiniteError,
     OuCausalError,
+    SimulationOverflowError,
     SingularReducedMatrixError,
 )
 from .modelfile import dumps_model, load_model_file, resolve_coordinate
@@ -281,6 +283,9 @@ def main(argv=None) -> int:
             BadCoordinateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except SimulationOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except OuCausalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,5 +69,9 @@ class NonPositiveStepError(OuCausalError):
     """A time grid is not strictly increasing."""
 
 
+class SimulationOverflowError(OuCausalError):
+    """Simulated paths left the float64 range: the model diverges over the horizon."""
+
+
 class ModelFileError(OuCausalError):
     """A model document does not conform to the JSON schema."""

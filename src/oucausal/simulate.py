@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     EmptyGridError,
     NonPositiveStepError,
+    SimulationOverflowError,
 )
 from .models import GeneralSde, Intervention, OuModel, intervene_ou
 
@@ -210,6 +211,18 @@ def _validate_run(grid: TimeGrid, n_paths: int) -> None:
         raise DimensionError("n_paths must be >= 1")
 
 
+def _require_finite(values: np.ndarray, grid: TimeGrid) -> None:
+    """Raise SimulationOverflowError, naming the first affected grid time,
+    unless every simulated value is finite."""
+    if np.all(np.isfinite(values)):
+        return
+    k = int(np.argmin(np.isfinite(values).all(axis=(0, 2))))
+    raise SimulationOverflowError(
+        f"simulated paths overflow float64 at t = {grid.t[k]:.6g}; "
+        "the model diverges over this horizon"
+    )
+
+
 def _euler_step(x: np.ndarray, level: np.ndarray, speed: np.ndarray,
                 dt: float, noise: np.ndarray) -> np.ndarray:
     # Shared by the plain and the coupled simulators so that coordinates
@@ -247,23 +260,27 @@ def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
     x = np.repeat(model.x0[None, :], n_paths, axis=0)
     values[:, 0, :] = x
 
-    if method == "exact":
-        cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for k in range(steps):
-            dt = float(t[k + 1] - t[k])
-            if dt not in cache:
-                f, g, q = exact_transition(model, dt)
-                cache[dt] = (f, g, _psd_factor(q))
-            f, g, low = cache[dt]
-            eta = _normals_from_origins(origins, k * model.p, model.p)
-            x = x @ f.T + g + eta @ low.T
-            values[:, k + 1, :] = x
-    else:
-        for k in range(steps):
-            dt = float(t[k + 1] - t[k])
-            dw = _normals_from_origins(origins, k * model.d, model.d) * np.sqrt(dt)
-            x = _euler_step(x, model.A, model.B, dt, dw @ model.sigma.T)
-            values[:, k + 1, :] = x
+    # Unstable models can overflow over long horizons; that is reported
+    # once, after the loop, instead of as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "exact":
+            cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+            for k in range(steps):
+                dt = float(t[k + 1] - t[k])
+                if dt not in cache:
+                    f, g, q = exact_transition(model, dt)
+                    cache[dt] = (f, g, _psd_factor(q))
+                f, g, low = cache[dt]
+                eta = _normals_from_origins(origins, k * model.p, model.p)
+                x = x @ f.T + g + eta @ low.T
+                values[:, k + 1, :] = x
+        else:
+            for k in range(steps):
+                dt = float(t[k + 1] - t[k])
+                dw = _normals_from_origins(origins, k * model.d, model.d) * np.sqrt(dt)
+                x = _euler_step(x, model.A, model.B, dt, dw @ model.sigma.T)
+                values[:, k + 1, :] = x
+    _require_finite(values, grid)
     return PathBundle(grid, values, model.labels)
 
 
@@ -312,15 +329,17 @@ def coupled_intervention_diff(model: OuModel, iv: Intervention, grid: TimeGrid,
     x = np.repeat(model.x0[None, :], n_paths, axis=0)
     u = x[:, keep].copy()
     diffs[:, 0, :] = record.lift(u) - x
-    for k in range(steps):
-        dt = float(t[k + 1] - t[k])
-        dw = _normals_from_origins(origins, k * model.d, model.d) * np.sqrt(dt)
-        noise = dw @ model.sigma.T
-        # Slicing the full-model noise keeps the shared-noise coordinates
-        # bit-identical between the two recursions.
-        x = _euler_step(x, model.A, model.B, dt, noise)
-        u = _euler_step(u, reduced.A, reduced.B, dt, noise[:, keep])
-        diffs[:, k + 1, :] = record.lift(u) - x
+    with np.errstate(over="ignore", invalid="ignore"):  # see simulate_paths
+        for k in range(steps):
+            dt = float(t[k + 1] - t[k])
+            dw = _normals_from_origins(origins, k * model.d, model.d) * np.sqrt(dt)
+            noise = dw @ model.sigma.T
+            # Slicing the full-model noise keeps the shared-noise coordinates
+            # bit-identical between the two recursions.
+            x = _euler_step(x, model.A, model.B, dt, noise)
+            u = _euler_step(u, reduced.A, reduced.B, dt, noise[:, keep])
+            diffs[:, k + 1, :] = record.lift(u) - x
+    _require_finite(diffs, grid)
     return PathBundle(grid, diffs, model.labels)
 
 

@@ -1,9 +1,21 @@
 """Stability and semistability of square matrices, decided without eigenvalues.
 
-A matrix B is stable (Hurwitz) iff the Lyapunov equation B X + X B^T = -I has
-a symmetric positive-definite solution, which a Cholesky factorization
-certifies. The spectral abscissa (max real part of the eigenvalues) is found
-by bisecting on the shift s, using the fact that B - s I is stable exactly
+One solver serves every decision: the scaled Newton iteration for the
+matrix sign function (Roberts 1971; Higham, Functions of Matrices, 2008,
+ch. 5), run on the p x p blocks of H = [[B, Q], [0, -B^T]]. When B is
+stable, sign(H) = [[-I, 2X], [0, I]], where X solves B X + X B^T + Q = 0.
+So B is stable iff the iterates of B tend to sign(B) = -I, and the same
+iteration yields X. Each step costs O(p^3).
+
+The certificate X (for Q = I) is positive definite in exact arithmetic;
+its accuracy falls as the spectral abscissa approaches 0, where X grows
+without bound. The verdict is therefore read from the limit sign(B), not
+from a Cholesky test of X, which rejects such an ill-conditioned X. X only
+has to pass a loose residual test that catches an iteration swamped by
+rounding (see `solve_lyapunov`).
+
+The spectral abscissa (max real part of the eigenvalues) is found by
+bisecting on the shift s, using the fact that B - s I is stable exactly
 when s exceeds the abscissa; Gershgorin row bounds bracket the search.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
@@ -21,15 +33,12 @@ from enum import Enum
 import numpy as np
 
 from . import matkit
-from .errors import (
-    DimensionError,
-    NotPositiveDefiniteError,
-    SingularMatrixError,
-    TooLargeError,
-)
+from .errors import DimensionError, NotPositiveDefiniteError, TooLargeError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SUBSET_BUDGET = 2**14
+_SIGN_MAX_ITER = 100  # far above the ~10-40 steps a decidable input needs
+_SWAMPED_SCORE = 1e4  # scaled residual of a swamped solve; see solve_lyapunov
 
 
 class Classification(str, Enum):
@@ -44,8 +53,8 @@ class StabilityReport:
 
     `spectral_abscissa` is a bisection estimate accurate to `tol` (it is an
     upper BOUND, not an estimate, for fast-path submatrix entries; see
-    `screen_principal_submatrices`). `certificate`, present iff Stable, is a
-    symmetric positive-definite X with B X + X B^T = -I.
+    `screen_principal_submatrices`). `certificate`, present iff Stable, is
+    the symmetric X with B X + X B^T = -I from `solve_lyapunov`.
     """
 
     classification: Classification
@@ -63,37 +72,79 @@ class SubmatrixScreen:
     fast_path: bool = False
 
 
-def lyapunov_unit_solution(b: np.ndarray) -> np.ndarray:
-    """Solve B X + X B^T = -I via the Kronecker-vectorized dense system.
+@np.errstate(all="ignore")  # overflow and singular iterates are verdicts here
+def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """Decide stability of B and solve B X + X B^T + Q = 0, in O(p^3) per step.
 
-    Raises SingularMatrixError when some eigenvalue pair of B sums to zero.
-    The returned X is explicitly symmetrized.
+    Coupled sign iteration with determinantal scaling c = |det B_k|^(-1/p):
+
+        B_{k+1} = (c B_k + (c B_k)^-1) / 2
+        Q_{k+1} = (c Q_k + B_k^-1 Q_k B_k^-T / c) / 2
+
+    Scaling stops once a step changes B_k by at most 1e-3 relative, and two
+    unscaled steps follow: near the axis the iterates level off instead of
+    reaching a few ulps. The limit is -I iff trace = -p, since a sign
+    matrix's trace is n_plus - n_minus. A singular or non-finite iterate, or
+    the iteration cap (eigenvalues on the axis), means not stable.
+
+    An eigenvalue within rounding of 0 makes an iterate singular at working
+    precision, and rounding can then swamp the other eigenvalues so that
+    the limit reads -I for an unstable B. Such an X misses its equation by
+    far more than its own scale, so Stable also needs X finite with
+    |R_ij| <= 1e4 sqrt(D_ii D_jj), where R = B X + X B^T + Q and
+    D = |B| |X| + |X| |B^T| + |Q|. Swamped solves score above 1e10. Sound
+    ones score about 1e-15 away from the axis, and stayed below 5 in
+    sweeps down to 1e-11 from it, where X has lost most of its accuracy.
+
+    Returns (True, X) with X = lim Q_k / 2 symmetrized, or (False, None).
     """
     n = b.shape[0]
-    ident = np.eye(n)
-    k = matkit.kron(ident, b) + matkit.kron(b, ident)
-    x = matkit.solve_linear(k, -ident.ravel()).reshape(n, n)
-    return 0.5 * (x + x.T)
+    # Dividing B and Q by one power of two leaves X unchanged and starts
+    # the iteration near unit scale, so tiny or huge B cannot overflow it.
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(b), initial=0.0)))[1])
+    a, x = b / unit, q / unit
+    scaled, unscaled_steps = True, 0
+    for _ in range(_SIGN_MAX_ITER):
+        try:
+            inv = np.linalg.inv(a)
+            c = np.exp(-np.linalg.slogdet(a)[1] / n) if scaled else 1.0
+        except np.linalg.LinAlgError:
+            return False, None
+        inv_c = inv / c
+        a_next = 0.5 * (c * a + inv_c)
+        x = 0.5 * (c * x + inv_c @ x @ inv.T)
+        size = float(np.abs(a_next).sum())
+        if not np.isfinite(size):
+            return False, None
+        if not scaled:
+            unscaled_steps += 1
+        elif float(np.abs(a_next - a).sum()) <= 1e-3 * size:
+            scaled = False
+        a = a_next
+        if unscaled_steps == 2:
+            break
+    else:
+        return False, None
+    if not np.trace(a) < 1 - n:
+        return False, None
+    x = 0.25 * (x + x.T)
+    bx = b @ x  # X is symmetric, so X B^T = (B X)^T
+    d = np.sqrt(2.0 * np.sum(np.abs(b) * np.abs(x), axis=1) + np.abs(np.diag(q)))
+    residual = np.abs(bx + bx.T + q)
+    if not (np.all(np.isfinite(x)) and np.all(residual <= _SWAMPED_SCORE * np.outer(d, d))):
+        return False, None
+    return True, x
 
 
 def is_stable(b) -> tuple[bool, np.ndarray | None]:
     """Decide stability of B; on success also return the Lyapunov certificate.
 
-    True iff B X + X B^T = -I is solvable with positive-definite X. A
-    singular Kronecker system already implies B is not stable.
+    The certificate X solves B X + X B^T = -I (see `solve_lyapunov`).
     """
     a = matkit.as_matrix(b, name="B")
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"B must be square, got {a.shape}")
-    try:
-        x = lyapunov_unit_solution(a)
-    except SingularMatrixError:
-        return False, None
-    try:
-        matkit.cholesky(x)
-    except NotPositiveDefiniteError:
-        return False, None
-    return True, x
+    return solve_lyapunov(a, np.eye(a.shape[0]))
 
 
 def gershgorin_real_bounds(b: np.ndarray) -> tuple[float, float]:

@@ -3,9 +3,11 @@
 For diffusion matrices whose columns span R^p, a stationary distribution
 exists iff the mean reversion speed B is stable; it is then the normal law
 with mean A and covariance G solving sigma sigma^T + B G + G B^T = 0. The
-Lyapunov equation is solved by Kronecker vectorization (a p^2 x p^2 dense
-solve), which is transparent and easily cross-checked by the quadrature
-representation G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds.
+Lyapunov equation is solved by the O(p^3) sign-function iteration of
+`stability.solve_lyapunov`, the same one that decides stability. Its
+accuracy falls as the spectral abscissa of B approaches 0; the quadrature
+representation G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds gives an
+independent cross-check.
 
 When sigma lacks full column span, existence depends on a more involved
 criterion that is intentionally not decided here; the verdict is reported
@@ -23,6 +25,7 @@ import numpy as np
 from . import matkit, stability
 from .errors import (
     DimensionError,
+    NonFiniteError,
     NoStationaryDistributionError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -114,20 +117,19 @@ def stationary_distribution(model: OuModel) -> GaussianLaw:
 
     Requires `stationary_exists(model)` to be Exists, which makes B stable
     and hence invertible, so the mean equation B mu = B A reduces to mu = A.
-    The covariance solves (I (x) B + B (x) I) vec(G) = -vec(sigma sigma^T)
-    and is explicitly symmetrized. The Kronecker system cannot be singular
-    for stable B (no eigenvalue pair sums to zero).
+    The covariance G solves B G + G B^T + sigma sigma^T = 0 and is
+    explicitly symmetrized.
     """
     verdict = stationary_exists(model)
     if verdict.verdict is not Verdict.EXISTS:
         raise NoStationaryDistributionError(
             f"no stationary distribution: verdict {verdict.verdict.value}"
         )
-    s = model.sigma @ model.sigma.T
-    ident = np.eye(model.p)
-    k = matkit.kron(ident, model.B) + matkit.kron(model.B, ident)
-    g = matkit.solve_linear(k, -s.ravel()).reshape(model.p, model.p)
-    g = 0.5 * (g + g.T)
+    # B was just found stable, and the B iterates do not depend on Q, so a
+    # failure here can only be a covariance beyond the float64 range.
+    solved, g = stability.solve_lyapunov(model.B, model.sigma @ model.sigma.T)
+    if not solved:
+        raise NonFiniteError("the stationary covariance overflows float64")
     return GaussianLaw(model.A.copy(), g)
 
 

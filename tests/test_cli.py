@@ -272,6 +272,20 @@ def test_simulate_validates_counts(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ("--t", "2000", "--steps", "10"),
+    ("--coupled", "--t", "6000", "--steps", "3000"),
+])
+def test_simulate_unstable_overflow_exits_5(tmp_path, flags):
+    doc = dict(ROTATING, B=[[0.5, 0.2], [0.0, -1.0]],
+               interventions=[{"on": "X2", "value": 0.0}])
+    out = run_cli("simulate", write_model(tmp_path, doc), *flags, "--paths", "20")
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "RuntimeWarning" not in out.stderr
+    assert "overflow float64" in out.stderr
+
+
 def test_output_flag_writes_file(tmp_path):
     target = tmp_path / "report.json"
     out = run_cli("describe", write_model(tmp_path, DEMO), "-o", str(target))
