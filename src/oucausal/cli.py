@@ -289,6 +289,9 @@ def main(argv=None) -> int:
     except OuCausalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

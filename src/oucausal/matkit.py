@@ -1,13 +1,16 @@
 """Dense real linear-algebra kernel.
 
 All operations work on plain float64 numpy arrays and are pure functions.
-Factorizations use scale-aware pivot thresholds, n * 2**-52 * max|entry|,
+Solves, ranks and the Pade quotient of `expm` come from numpy.linalg; the
+only factorization written out here is the Cholesky loop shared by the
+definiteness tests. Every threshold is scale-aware (rank: sigma_max * n *
+2**-52; Cholesky pivots: n * 2**-52 * max|entry|; symmetry: 1e-9 relative),
 so singularity and definiteness decisions do not change under rescaling.
-Matrices here are tiny (state dimension up to a few dozen), hence the
-unblocked algorithms.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,23 +25,11 @@ from .errors import (
 
 _EPS = 2.0**-52
 
-# Degree-13 Pade numerator coefficients for expm, constant term first.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
+# Degree-13 Pade numerator coefficients for expm, constant term first:
+# b_j = C(13, j) (26 - j)! / 26!, the usual table divided by its constant
+# term 26!/13!. With b_0 = 1, V - U is near I instead of near 6.5e16 I, and
+# the LAPACK solve returns expm(0) = I exactly.
+_PADE13 = tuple(math.comb(13, j) / math.perm(26, j) for j in range(14))
 
 
 def as_matrix(value, rows: int | None = None, cols: int | None = None,
@@ -84,48 +75,31 @@ def _require_square(m: np.ndarray, name: str) -> None:
 
 def norm_inf(m: np.ndarray) -> float:
     """Max absolute row sum (the infinity operator norm)."""
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+    return float(np.max(np.sum(np.abs(m), axis=1), initial=0.0))
 
 
 def norm_one(m: np.ndarray) -> float:
     """Max absolute column sum (the 1 operator norm)."""
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=0)))
+    return float(np.max(np.sum(np.abs(m), axis=0), initial=0.0))
 
 
-def _lu_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU with partial pivoting. Returns (packed LU, row permutation).
+def pivot_limit(m: np.ndarray) -> float:
+    """Scale-aware Cholesky pivot threshold n * 2**-52 * max|M|."""
+    return m.shape[0] * _EPS * float(np.max(np.abs(m), initial=0.0))
 
-    Raises SingularMatrixError when a pivot magnitude is <= n * eps * max|a|.
-    """
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    limit = n * _EPS * (float(np.max(np.abs(a))) if a.size else 0.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= limit:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[p, k]):.3e} at column {k + 1} is below the "
-                f"threshold {limit:.3e}; matrix is singular at working precision"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
+
+def is_symmetric(m: np.ndarray) -> bool:
+    """True when max|M - M^T| <= 1e-9 * max|M|."""
+    scale = float(np.max(np.abs(m), initial=0.0))
+    return float(np.max(np.abs(m - m.T), initial=0.0)) <= 1e-9 * scale
 
 
 def solve_linear(m, rhs) -> np.ndarray:
-    """Solve M X = rhs by LU with partial pivoting.
+    """Solve M X = rhs with numpy.linalg.solve.
 
     `rhs` may be a vector (length n) or a matrix (n x k); the result has the
-    same shape. Raises SingularMatrixError when a pivot falls below
-    n * 2**-52 * max|M|.
+    same shape. Raises SingularMatrixError when rank(M) < n, i.e. when a
+    singular value of M is at or below sigma_max * n * 2**-52.
     """
     a = as_matrix(m, name="M")
     _require_square(a, "M")
@@ -134,21 +108,11 @@ def solve_linear(m, rhs) -> np.ndarray:
         b = np.array(rhs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"rhs: not a rectangular numeric array ({exc})")
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b.reshape(n, 1) if b.shape[0] == n else b
-    if b.ndim != 2 or b.shape[0] != n:
-        raise DimensionError(f"rhs: expected {n} rows, got shape {b.shape}")
-    if b.size and not np.all(np.isfinite(b)):
-        raise NonFiniteError("rhs: contains non-finite entries")
-    lu, perm = _lu_decompose(a)
-    x = b[perm].copy()
-    for k in range(n):                      # forward substitution, unit lower
-        x[k + 1:] -= lu[k + 1:, k:k + 1] * x[k]
-    for k in range(n - 1, -1, -1):          # back substitution
-        x[k] /= lu[k, k]
-        x[:k] -= lu[:k, k:k + 1] * x[k]
-    return x[:, 0] if vector_rhs else x
+    b = as_vector(b, n, "rhs") if b.ndim == 1 else as_matrix(b, n, name="rhs")
+    r = rank(a)
+    if r < n:
+        raise SingularMatrixError(f"rank {r} is below the dimension {n} at working precision")
+    return np.linalg.solve(a, b)
 
 
 def expm(m) -> np.ndarray:
@@ -173,73 +137,67 @@ def expm(m) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = solve_linear(v - u, v + u)
+    r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
     return r
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def cholesky_pivots(m: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky loop on the symmetric part of M. Returns (L, pivots).
+
+    pivots[j] is the Schur-complement pivot of step j. A pivot at or below
+    `limit` is treated as exactly zero: column j of L is left zero and the
+    loop goes on. When every pivot exceeds `limit`, L L^T = (M + M^T) / 2.
+    Past a zeroed pivot of an indefinite M later entries can overflow
+    (silently); callers of such an M read the pivots up to the first failure.
+    """
+    a = 0.5 * (m + m.T)
+    n = a.shape[0]
+    low = np.zeros_like(a)
+    pivots = np.empty(n)
+    for j in range(n):
+        piv = a[j, j] - low[j, :j] @ low[j, :j]
+        pivots[j] = piv
+        if piv <= limit:
+            continue
+        low[j, j] = np.sqrt(piv)
+        if j + 1 < n:
+            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low, pivots
+
+
 def cholesky(m) -> np.ndarray:
     """Lower-triangular L with L L^T = M for symmetric positive-definite M.
 
-    The input must be symmetric within 1e-9 relative (else NotSymmetricError);
-    it is explicitly symmetrized before factoring. A pivot <= n * 2**-52 *
-    max|M| raises NotPositiveDefiniteError.
+    The input must pass `is_symmetric` (else NotSymmetricError); it is
+    explicitly symmetrized before factoring. A pivot <= `pivot_limit(M)`
+    raises NotPositiveDefiniteError.
     """
     a = as_matrix(m, name="M")
     _require_square(a, "M")
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > 1e-9 * scale:
+    if not is_symmetric(a):
         raise NotSymmetricError(
-            f"asymmetry {asym:.3e} exceeds 1e-9 relative to max entry {scale:.3e}"
+            f"asymmetry {np.max(np.abs(a - a.T)):.3e} exceeds 1e-9 relative to "
+            f"max entry {np.max(np.abs(a)):.3e}"
         )
-    a = 0.5 * (a + a.T)
-    limit = n * _EPS * scale
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= limit:
-            raise NotPositiveDefiniteError(
-                f"pivot {d:.3e} at step {j + 1} is below the threshold {limit:.3e}"
-            )
-        low[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    limit = pivot_limit(a)
+    low, pivots = cholesky_pivots(a, limit)
+    failed = np.flatnonzero(pivots <= limit)
+    if failed.size:
+        j = int(failed[0])
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[j]:.3e} at step {j + 1} is below the threshold {limit:.3e}"
+        )
     return low
 
 
-def rank(m, tol: float | None = None) -> int:
-    """Numerical rank by row reduction with partial pivoting.
-
-    A pivot counts toward the rank when its magnitude exceeds `tol`
-    (default max(rows, cols) * 2**-52 * max|M|).
-    """
+def rank(m) -> int:
+    """Numerical rank: the number of singular values of M above
+    sigma_max * max(rows, cols) * 2**-52 (numpy.linalg.matrix_rank)."""
     a = as_matrix(m, name="M")
-    nr, nc = a.shape
-    if tol is None:
-        tol = max(nr, nc) * _EPS * (float(np.max(np.abs(a))) if a.size else 0.0)
-    elif tol < 0:
-        raise DimensionError("tol must be nonnegative")
-    a = a.copy()
-    r = 0
-    for col in range(nc):
-        if r == nr:
-            break
-        p = r + int(np.argmax(np.abs(a[r:, col])))
-        if abs(a[p, col]) <= tol:
-            continue
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r + 1:, col:] -= np.outer(a[r + 1:, col] / a[r, col], a[r, col:])
-        r += 1
-    return r
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices, (pm) x (qn) for p x q and m x n."""
-    return np.kron(as_matrix(a, name="A"), as_matrix(b, name="B"))
+    return int(np.linalg.matrix_rank(a))
 
 
 def principal_submatrix(m, removed) -> np.ndarray:

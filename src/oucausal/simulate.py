@@ -20,6 +20,7 @@ from . import matkit
 from .errors import (
     DimensionError,
     EmptyGridError,
+    NonFiniteError,
     NonPositiveStepError,
     SimulationOverflowError,
 )
@@ -183,27 +184,6 @@ def exact_transition(model: OuModel, t: float) -> tuple[np.ndarray, np.ndarray, 
     return f, g, q
 
 
-def _psd_factor(q: np.ndarray) -> np.ndarray:
-    """Cholesky-like factor L with L L^T = Q for positive-SEMIdefinite Q.
-
-    Pivots at or below the scale-aware threshold are treated as exactly
-    zero (the corresponding column of L is zeroed), so Q = 0 yields L = 0
-    and noise-free models stay exactly deterministic.
-    """
-    q = 0.5 * (q + q.T)
-    n = q.shape[0]
-    limit = n * 2.0**-52 * (float(np.max(np.abs(q))) if q.size else 0.0)
-    low = np.zeros_like(q)
-    for j in range(n):
-        piv = q[j, j] - low[j, :j] @ low[j, :j]
-        if piv <= limit:
-            continue
-        low[j, j] = np.sqrt(piv)
-        if j + 1 < n:
-            low[j + 1:, j] = (q[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
 def _validate_run(grid: TimeGrid, n_paths: int) -> None:
     if len(grid) == 0:
         raise EmptyGridError("time grid is empty")
@@ -268,8 +248,11 @@ def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
             for k in range(steps):
                 dt = float(t[k + 1] - t[k])
                 if dt not in cache:
+                    # Pivots at or below the limit count as zero, so a
+                    # positive-semidefinite Q (even Q = 0) is factored.
                     f, g, q = exact_transition(model, dt)
-                    cache[dt] = (f, g, _psd_factor(q))
+                    low = matkit.cholesky_pivots(q, matkit.pivot_limit(q))[0]
+                    cache[dt] = (f, g, low)
                 f, g, low = cache[dt]
                 eta = _normals_from_origins(origins, k * model.p, model.p)
                 x = x @ f.T + g + eta @ low.T
@@ -286,7 +269,12 @@ def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
 
 def _euler_general(sde: GeneralSde, grid: TimeGrid, n_paths: int,
                    seed: int) -> PathBundle:
-    """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated per path."""
+    """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated per path.
+
+    A coefficient that is non-finite at x0 raises NonFiniteError. A state or
+    a coefficient that turns non-finite later means the paths diverged:
+    SimulationOverflowError names the first grid time where either happens.
+    """
     t = grid.t
     steps = len(t) - 1
     n_brownian = sde.d - 1
@@ -294,17 +282,27 @@ def _euler_general(sde: GeneralSde, grid: TimeGrid, n_paths: int,
     values = np.empty((n_paths, steps + 1, sde.p))
     x = np.repeat(sde.x0[None, :], n_paths, axis=0)
     values[:, 0, :] = x
-    for k in range(steps):
-        dt = float(t[k + 1] - t[k])
-        if n_brownian > 0:
-            dw = _normals_from_origins(origins, k * n_brownian, n_brownian)
-            dw = dw * np.sqrt(dt)
-        else:
-            dw = np.zeros((n_paths, 0))
-        for i in range(n_paths):
-            dz = np.concatenate(([dt], dw[i]))
-            x[i] = x[i] + sde.coef_at(x[i]) @ dz
-        values[:, k + 1, :] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # see simulate_paths
+        for k in range(steps):
+            dt = float(t[k + 1] - t[k])
+            if n_brownian > 0:
+                dw = _normals_from_origins(origins, k * n_brownian, n_brownian)
+                dw = dw * np.sqrt(dt)
+            else:
+                dw = np.zeros((n_paths, 0))
+            for i in range(n_paths):
+                dz = np.concatenate(([dt], dw[i]))
+                try:
+                    coef = sde.coef_at(x[i])
+                except NonFiniteError:
+                    if k == 0:
+                        raise
+                    # Marking x(t_k) names t_k unless a state diverged earlier.
+                    values[i, k] = np.nan
+                    _require_finite(values[:, :k + 1], grid)
+                x[i] = x[i] + coef @ dz
+            values[:, k + 1, :] = x
+    _require_finite(values, grid)
     return PathBundle(grid, values, tuple(f"X{i}" for i in range(1, sde.p + 1)))
 
 

@@ -99,9 +99,10 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> tuple[bool, np.ndarray | Non
     Returns (True, X) with X = lim Q_k / 2 symmetrized, or (False, None).
     """
     n = b.shape[0]
-    # Dividing B and Q by one power of two leaves X unchanged and starts
-    # the iteration near unit scale, so tiny or huge B cannot overflow it.
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(b), initial=0.0)))[1])
+    # Dividing B and Q by the power of two 2^(e-1) <= max|B| < 2^e leaves X
+    # unchanged and starts the iteration near unit scale, so tiny or huge B
+    # cannot overflow it (2^e itself overflows when max|B| >= 2^1023).
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(b), initial=0.0)))[1] - 1)
     a, x = b / unit, q / unit
     scaled, unscaled_steps = True, 0
     for _ in range(_SIGN_MAX_ITER):
@@ -195,11 +196,6 @@ def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:
     return StabilityReport(Classification.SEMISTABLE_NOT_STABLE, abscissa, tol)
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.abs(a - a.T))) <= 1e-9 * scale if a.size else True
-
-
 def screen_principal_submatrices(
     b,
     max_size_removed: int | None = None,
@@ -240,7 +236,7 @@ def screen_principal_submatrices(
     ]
 
     base = classify(a, tol)
-    if use_fast_path and _is_symmetric(a) and base.classification is Classification.STABLE:
+    if use_fast_path and matkit.is_symmetric(a) and base.classification is Classification.STABLE:
         entries = [(frozenset(), base)]
         bound = StabilityReport(
             Classification.STABLE, base.spectral_abscissa, tol, None
@@ -285,20 +281,9 @@ def _definiteness_score(a: np.ndarray, d: np.ndarray) -> float:
     the candidate is from yielding a negative-definite B D + D B^T.
     """
     m = a * d[None, :]
-    s = -(m + m.T)
-    s = 0.5 * (s + s.T)
-    n = s.shape[0]
-    low = np.zeros_like(s)
-    worst = np.inf
-    for j in range(n):
-        piv = s[j, j] - low[j, :j] @ low[j, :j]
-        if piv <= 0.0:
-            return float(piv)
-        worst = min(worst, float(piv))
-        low[j, j] = np.sqrt(piv)
-        if j + 1 < n:
-            low[j + 1:, j] = (s[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return worst
+    pivots = matkit.cholesky_pivots(-(m + m.T), 0.0)[1]
+    failed = np.flatnonzero(pivots <= 0.0)
+    return float(pivots[failed[0]] if failed.size else np.min(pivots, initial=np.inf))
 
 
 def diagonal_lyapunov_certificate(

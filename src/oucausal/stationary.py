@@ -48,8 +48,7 @@ class GaussianLaw:
     def __post_init__(self):
         mean = matkit.as_vector(self.mean, name="mean")
         cov = matkit.as_matrix(self.cov, mean.shape[0], mean.shape[0], "cov")
-        scale = float(np.max(np.abs(cov))) if cov.size else 0.0
-        if float(np.max(np.abs(cov - cov.T))) > 1e-9 * scale:
+        if not matkit.is_symmetric(cov):
             raise NotSymmetricError("cov is not symmetric within 1e-9 relative")
         ridge = 1e-12 * float(np.trace(cov)) / mean.shape[0]
         try:
@@ -115,15 +114,19 @@ def stationary_exists(model: OuModel) -> StationarityVerdict:
 def stationary_distribution(model: OuModel) -> GaussianLaw:
     """Stationary law of the model: mean A, covariance from the Lyapunov solve.
 
-    Requires `stationary_exists(model)` to be Exists, which makes B stable
-    and hence invertible, so the mean equation B mu = B A reduces to mu = A.
-    The covariance G solves B G + G B^T + sigma sigma^T = 0 and is
-    explicitly symmetrized.
+    Requires the verdict of `stationary_exists(model)` to be Exists: sigma
+    of full column span and B stable, hence invertible, so the mean
+    equation B mu = B A reduces to mu = A. The covariance G solves
+    B G + G B^T + sigma sigma^T = 0 and is explicitly symmetrized.
     """
-    verdict = stationary_exists(model)
-    if verdict.verdict is not Verdict.EXISTS:
+    verdict = Verdict.EXISTS
+    if matkit.rank(model.sigma) < model.p:
+        verdict = Verdict.INDETERMINATE_COLUMN_SPAN
+    elif not stability.is_stable(model.B)[0]:
+        verdict = Verdict.NOT_EXISTS
+    if verdict is not Verdict.EXISTS:
         raise NoStationaryDistributionError(
-            f"no stationary distribution: verdict {verdict.verdict.value}"
+            f"no stationary distribution: verdict {verdict.value}"
         )
     # B was just found stable, and the B iterates do not depend on Q, so a
     # failure here can only be a covariance beyond the float64 range.

@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
+
+from oucausal import cli
 
 DEMO = {
     "p": 3,
@@ -174,6 +177,18 @@ def test_stationary_nonexistent_fails(tmp_path):
     assert out.stdout == ""
 
 
+def test_stationary_with_entries_near_float64_max(tmp_path):
+    # max|B| >= 2^1023, where the solver's power-of-two prescaling must not
+    # overflow. X(B, Q) = X(B / s, Q) / s for s > 0 gives the oracle.
+    b = np.array([[-1e308, 0.0], [5e307, -1e308]])
+    out = run_cli("stationary", write_model(tmp_path, dict(ROTATING, B=b.tolist())))
+    assert out.returncode == 0, out.stderr
+    s = 2.0**1023
+    expect = solve_continuous_lyapunov(b / s, -np.eye(2)) / s
+    cov = np.array(json.loads(out.stdout)["cov"])
+    assert np.max(np.abs(cov - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 # ------------------------------------------------------------------ stability
 
 def test_stability_csv_single_row(tmp_path):
@@ -284,6 +299,18 @@ def test_simulate_unstable_overflow_exits_5(tmp_path, flags):
     assert out.stdout == ""
     assert "RuntimeWarning" not in out.stderr
     assert "overflow float64" in out.stderr
+
+
+def test_simulate_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "simulate_paths", exhausted)
+    code = cli.main(["simulate", write_model(tmp_path, DEMO), "--stats-only"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
 
 
 def test_output_flag_writes_file(tmp_path):

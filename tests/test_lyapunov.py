@@ -25,7 +25,6 @@ from oucausal import (
     stationary_distribution,
     stationary_exists,
 )
-from oucausal import matkit
 from oucausal.stability import solve_lyapunov
 
 TOL = 1e-9
@@ -34,7 +33,7 @@ TOL = 1e-9
 def _kronecker_solution(b, q):
     n = b.shape[0]
     ident = np.eye(n)
-    k = matkit.kron(ident, b) + matkit.kron(b, ident)
+    k = np.kron(ident, b) + np.kron(b, ident)
     return np.linalg.solve(k, -q.ravel()).reshape(n, n)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,14 @@ def test_cholesky_indefinite():
         matkit.cholesky([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
 
 
+def test_cholesky_overflowing_pivot_raises_without_warning():
+    # L21 = 1e300 / sqrt(1e285), so the second pivot 1 - L21^2 overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefiniteError):
+            matkit.cholesky([[1e285, 1e300], [1e300, 1.0]])
+
+
 def test_cholesky_asymmetric_rejected():
     with pytest.raises(NotSymmetricError):
         matkit.cholesky([[1.0, 0.1], [0.0, 1.0]])
@@ -175,30 +185,6 @@ def test_rank_controllability_with_identity_sigma():
         for _ in range(p - 1):
             blocks.append(b @ blocks[-1])
         assert matkit.rank(np.hstack(blocks)) == p
-
-
-# ----------------------------------------------------------------------- kron
-
-def test_kron_block_diagonal():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    k = matkit.kron(np.eye(2), m)
-    assert np.array_equal(k[:2, :2], m)
-    assert np.array_equal(k[2:, 2:], m)
-    assert np.all(k[:2, 2:] == 0) and np.all(k[2:, :2] == 0)
-
-
-def test_kron_scalar():
-    b = np.array([[1.0, -2.0], [0.5, 3.0]])
-    assert np.array_equal(matkit.kron([[2.5]], b), 2.5 * b)
-
-
-def test_kron_mixed_product_identity():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        a, b, c, d = (rng.uniform(-1.0, 1.0, (2, 2)) for _ in range(4))
-        lhs = matkit.kron(a, b) @ matkit.kron(c, d)
-        rhs = matkit.kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 # --------------------------------------------------------- principal submatrix

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,9 @@ from oucausal import matkit
 from oucausal.errors import (
     DimensionError,
     EmptyGridError,
+    NonFiniteError,
     NonPositiveStepError,
+    SimulationOverflowError,
 )
 from util import demo_triangular, gershgorin_stable
 
@@ -238,6 +243,32 @@ def test_general_euler_pure_drift():
     sde = GeneralSde(p=1, d=1, x0=[0.0], coef=lambda x: np.array([[2.0]]))
     bundle = simulate_paths(sde, uniform_grid(1.0, 4), 1, seed=0, method="euler")
     assert np.allclose(bundle.values[0, :, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+def test_general_euler_overflow_names_first_divergent_time():
+    # Unstable B: with dt = 2 the Euler states double every step.
+    m = OuModel(p=2, d=2, x0=[0.0, 0.0], A=[0.0, 0.0],
+                B=[[0.5, 0.2], [0.0, -1.0]], sigma=np.eye(2))
+    sde = ou_as_general(m)
+    grid = uniform_grid(6000.0, 3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationOverflowError) as info:
+            simulate_paths(sde, grid, 2, seed=1, method="euler")
+    t_named = float(re.search(r"t = (\S+);", str(info.value))[1])
+    k = int(np.searchsorted(grid.t, t_named))
+    assert k > 0 and grid.t[k] == t_named
+    # Draws depend only on (seed, path, step), so a prefix grid replays the
+    # run: it is finite before t_k and diverges one step after it.
+    simulate_paths(sde, TimeGrid(grid.t[:k]), 2, seed=1, method="euler")
+    with pytest.raises(SimulationOverflowError):
+        simulate_paths(sde, TimeGrid(grid.t[:k + 2]), 2, seed=1, method="euler")
+
+
+def test_general_euler_nonfinite_coefficient_at_x0():
+    sde = GeneralSde(p=1, d=1, x0=[0.0], coef=lambda x: np.array([[np.inf]]))
+    with pytest.raises(NonFiniteError):
+        simulate_paths(sde, uniform_grid(1.0, 4), 1, seed=0, method="euler")
 
 
 # --------------------------------------------------------- coupled simulation
