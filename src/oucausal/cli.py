@@ -33,7 +33,14 @@ from .errors import (
 )
 from .modelfile import dumps_model, load_model_file, resolve_coordinate
 from .models import Intervention, OuModel, dependence_graph, intervene_seq
-from .simulate import coupled_intervention_diff, path_stats, simulate_paths, uniform_grid
+from .simulate import (
+    _coupled_paths,
+    _coupled_states,
+    _final_stats,
+    _states,
+    simulate_paths,
+    uniform_grid,
+)
 
 
 def _positive_int(text: str) -> int:
@@ -160,17 +167,21 @@ def cmd_graph(args) -> str:
 
 
 def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    n_paths, n_times, _ = columns.shape
-    for i in range(n_paths):
-        for k in range(n_times):
-            writer.writerow(
-                [i, repr(float(grid_t[k]))]
-                + [repr(float(v)) for v in columns[i, k]]
-            )
-    return buffer.getvalue()
+    """CSV rows `path,t,<columns>` for every path and grid time, each value
+    written as its shortest round-trip repr. Paths are formatted one at a
+    time, so only one path's cell strings are alive at once."""
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)  # quotes odd labels
+    width = columns.shape[2]
+    times = [repr(t) + "," for t in grid_t.tolist()]
+    lines = [head.getvalue()[:-1]]
+    for i, path in enumerate(columns):
+        prefix = f"{i},"
+        cells = map(repr, path.reshape(-1).tolist())
+        rows = map(",".join, zip(*[cells] * width))  # `width` cells per row
+        lines += [prefix + t + row for t, row in zip(times, rows)]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def cmd_simulate(args) -> str:
@@ -183,31 +194,29 @@ def cmd_simulate(args) -> str:
                 "--coupled needs exactly one intervention in the model file's "
                 f"'interventions' list, found {len(file_ivs)}"
             )
-        diff = coupled_intervention_diff(model, file_ivs[0], grid,
-                                         args.paths, args.seed)
-        if args.stats_only:
-            return _stats_json(diff, args)
-        base = simulate_paths(model, grid, args.paths, args.seed, method="euler")
-        header = (["path", "t"] + list(model.labels)
-                  + [f"D{i}" for i in range(1, model.p + 1)])
-        merged = np.concatenate([base.values, diff.values], axis=2)
-        return _paths_csv(header, grid.t, merged)
+        if not args.stats_only:
+            header = (["path", "t"] + list(model.labels)
+                      + [f"D{i}" for i in range(1, model.p + 1)])
+            columns = _coupled_paths(model, file_ivs[0], grid, args.paths, args.seed)
+            return _paths_csv(header, grid.t, columns)
+        states = _coupled_states(model, file_ivs[0], grid, args.paths, args.seed,
+                                 with_x=False)
+    else:
+        if file_ivs:
+            model, _ = intervene_seq(model, file_ivs)
+        if not args.stats_only:
+            bundle = simulate_paths(model, grid, args.paths, args.seed, method=args.method)
+            header = ["path", "t"] + list(model.labels)
+            return _paths_csv(header, grid.t, bundle.values)
+        states = _states(model, grid, args.paths, args.seed, args.method)
+    return _stats_json(grid, model.labels, args.paths, _final_stats(states, grid))
 
-    if file_ivs:
-        model, _ = intervene_seq(model, file_ivs)
-    bundle = simulate_paths(model, grid, args.paths, args.seed, method=args.method)
-    if args.stats_only:
-        return _stats_json(bundle, args)
-    header = ["path", "t"] + list(model.labels)
-    return _paths_csv(header, grid.t, bundle.values)
 
-
-def _stats_json(bundle, args) -> str:
-    stats = path_stats(bundle, -1)
+def _stats_json(grid, labels, n_paths: int, stats) -> str:
     doc = {
-        "at": float(bundle.grid.t[-1]),
-        "n_paths": bundle.n_paths,
-        "labels": list(bundle.labels),
+        "at": float(grid.t[-1]),
+        "n_paths": n_paths,
+        "labels": list(labels),
         "mean": _vec(stats.mean),
         "cov": _mat(stats.cov),
         "se_mean": _vec(stats.se_mean),

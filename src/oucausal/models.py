@@ -360,7 +360,10 @@ def ou_as_general(model: OuModel) -> GeneralSde:
     """
 
     def coef(x: np.ndarray) -> np.ndarray:
-        return np.column_stack([model.B @ (x - model.A), model.sigma])
+        out = np.empty((model.p, 1 + model.d))
+        out[:, 0] = model.B @ (x - model.A)
+        out[:, 1:] = model.sigma
+        return out
 
     return GeneralSde(model.p, 1 + model.d, model.x0, coef)
 
@@ -376,11 +379,13 @@ def intervene_general(sde: GeneralSde, iv: Intervention) -> GeneralSde:
     if not 1 <= iv.m <= sde.p:
         raise BadCoordinateError(f"coordinate {iv.m} outside 1..{sde.p}")
     m, c = iv.m, iv.c
-    keep = [i for i in range(sde.p) if i != m - 1]
+    keep = np.array([i for i in range(sde.p) if i != m - 1])
     inner = sde.coef
 
     def coef(y: np.ndarray) -> np.ndarray:
-        x = np.insert(np.asarray(y, dtype=float), m - 1, c)
+        x = np.empty(sde.p)
+        x[keep] = y
+        x[m - 1] = c
         return np.asarray(inner(x), dtype=float)[keep, :]
 
     return GeneralSde(sde.p - 1, sde.d, sde.x0[keep], coef)

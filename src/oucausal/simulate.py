@@ -8,6 +8,15 @@ fresh 64-bit outputs. Draws are a pure function of (seed, stream, index),
 so results do not depend on execution order and are reproducible within a
 build. Bit-exact reproduction across platforms is not promised
 (transcendental functions differ); within-build determinism is.
+
+Each scheme (exact OU, Euler OU, Euler for a general SDE, and the coupled
+pair) is written once, as a generator that yields the state at each grid
+time. `_drive` runs it and checks every state for overflow as it arrives.
+`simulate_paths` and `coupled_intervention_diff` store every state;
+`_final_stats` (behind `simulate --stats-only`) keeps only the current one,
+so its memory is O(n_paths * p) whatever the number of steps. The coupled
+recursion yields X and Y - X together, so `simulate --coupled` takes one
+pass.
 """
 
 from __future__ import annotations
@@ -24,20 +33,24 @@ from .errors import (
     NonPositiveStepError,
     SimulationOverflowError,
 )
-from .models import GeneralSde, Intervention, OuModel, intervene_ou
+from .models import GeneralSde, Intervention, OuModel, default_labels, intervene_ou
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _TWO_NEG53 = 2.0**-53
+_BLOCK = 1 << 13  # normals per block of streams, so the temporaries stay in cache
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function (Stafford mix 13) on uint64 arrays."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    """SplitMix64 output function (Stafford mix 13), in place on a uint64 array."""
+    z ^= z >> _U64(30)
+    z *= _MIX1
+    z ^= z >> _U64(27)
+    z *= _MIX2
+    z ^= z >> _U64(31)
+    return z
 
 
 def _stream_origins(seed: int, stream_ids: np.ndarray) -> np.ndarray:
@@ -48,10 +61,14 @@ def _stream_origins(seed: int, stream_ids: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(origins: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Open-interval uniforms; element [s, k] is draw counters[k] of stream s."""
+    """Open-interval uniforms; element [..., s, k] is draw counters[..., 0, k]
+    of stream s."""
     with np.errstate(over="ignore"):
-        raw = _mix64(origins[:, None] + _GOLDEN * (counters[None, :] + _U64(1)))
-    return ((raw >> _U64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+        raw = _mix64(origins[:, None] + _GOLDEN * (counters + _U64(1)))
+    raw >>= _U64(11)
+    u = raw + 0.5  # float64: the 53-bit integer converts exactly
+    u *= _TWO_NEG53
+    return u
 
 
 def _normals_from_origins(origins: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -62,9 +79,18 @@ def _normals_from_origins(origins: np.ndarray, start: int, count: int) -> np.nda
     """
     j = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        u1 = _uniforms(origins, _U64(2) * j)
-        u2 = _uniforms(origins, _U64(2) * j + _U64(1))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        counters = np.stack((_U64(2) * j, _U64(2) * j + _U64(1)))[:, None, :]
+    out = np.empty((origins.size, count))
+    rows = max(1, _BLOCK // max(count, 1))
+    for a in range(0, origins.size, rows):
+        u1, u2 = _uniforms(origins[a:a + rows], counters)
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * np.pi
+        np.cos(u2, out=u2)
+        np.multiply(u1, u2, out=out[a:a + rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,14 +217,28 @@ def _validate_run(grid: TimeGrid, n_paths: int) -> None:
         raise DimensionError("n_paths must be >= 1")
 
 
-def _require_finite(values: np.ndarray, grid: TimeGrid) -> None:
-    """Raise SimulationOverflowError, naming the first affected grid time,
-    unless every simulated value is finite."""
-    if np.all(np.isfinite(values)):
-        return
-    k = int(np.argmin(np.isfinite(values).all(axis=(0, 2))))
-    raise SimulationOverflowError(
-        f"simulated paths overflow float64 at t = {grid.t[k]:.6g}; "
+def _drive(states, grid: TimeGrid, values: np.ndarray | None = None) -> np.ndarray:
+    """Run a stepping generator over the grid and return its final state.
+
+    A stepping generator yields the (n_paths, q) state at each grid time in
+    turn. Each state is checked as it is produced, so SimulationOverflowError
+    names the first grid time at which a value is non-finite. values[:, k]
+    receives the state at grid time k when `values` is given; otherwise only
+    the current state is held. Unstable models overflow over long horizons;
+    that is reported here instead of as numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, x in enumerate(states):
+            if not np.isfinite(x).all():
+                raise _overflow(grid.t[k])
+            if values is not None:
+                values[:, k, :] = x
+    return x
+
+
+def _overflow(t: float) -> SimulationOverflowError:
+    return SimulationOverflowError(
+        f"simulated paths overflow float64 at t = {t:.6g}; "
         "the model diverges over this horizon"
     )
 
@@ -208,6 +248,85 @@ def _euler_step(x: np.ndarray, level: np.ndarray, speed: np.ndarray,
     # Shared by the plain and the coupled simulators so that coordinates
     # with identical dynamics and identical noise reproduce bit-identically.
     return x + ((x - level) @ speed.T) * dt + noise
+
+
+def _brownian(origins: np.ndarray, k: int, d: int, dt: float) -> np.ndarray:
+    """Brownian increments over step k: d normals per path, scaled by sqrt(dt)."""
+    return _normals_from_origins(origins, k * d, d) * np.sqrt(dt)
+
+
+def _states(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
+            seed: int, method: str):
+    """Validate a run of `simulate_paths` and return its stepping generator."""
+    _validate_run(grid, n_paths)
+    if method not in ("exact", "euler"):
+        raise DimensionError(f"method must be 'exact' or 'euler', got {method!r}")
+    if isinstance(model, GeneralSde):
+        if method != "euler":
+            raise DimensionError("the exact method requires an OuModel")
+        steps = _general_steps
+    elif not isinstance(model, OuModel):
+        raise DimensionError(f"unsupported model type {type(model).__name__}")
+    else:
+        steps = _exact_steps if method == "exact" else _euler_steps
+    return steps(model, grid.t, _stream_origins(seed, np.arange(n_paths, dtype=np.uint64)))
+
+
+def _exact_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
+    x = np.repeat(model.x0[None, :], origins.size, axis=0)
+    yield x
+    cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for k in range(len(t) - 1):
+        dt = float(t[k + 1] - t[k])
+        if dt not in cache:
+            # Pivots at or below the limit count as zero, so a
+            # positive-semidefinite Q (even Q = 0) is factored.
+            f, g, q = exact_transition(model, dt)
+            low = matkit.cholesky_pivots(q, matkit.pivot_limit(q))[0]
+            cache[dt] = (f, g, low)
+        f, g, low = cache[dt]
+        eta = _normals_from_origins(origins, k * model.p, model.p)
+        x = x @ f.T + g + eta @ low.T
+        yield x
+
+
+def _euler_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
+    x = np.repeat(model.x0[None, :], origins.size, axis=0)
+    yield x
+    for k in range(len(t) - 1):
+        dt = float(t[k + 1] - t[k])
+        dw = _brownian(origins, k, model.d, dt)
+        x = _euler_step(x, model.A, model.B, dt, dw @ model.sigma.T)
+        yield x
+
+
+def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
+    """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated per path.
+
+    A coefficient that is non-finite at x0 raises NonFiniteError. A state or
+    a coefficient that turns non-finite later means the paths diverged:
+    SimulationOverflowError names the first grid time where either happens.
+    """
+    n_brownian = sde.d - 1
+    x = np.repeat(sde.x0[None, :], origins.size, axis=0)
+    yield x
+    dz = np.empty((origins.size, sde.d))
+    for k in range(len(t) - 1):
+        dt = float(t[k + 1] - t[k])
+        dz[:, 0] = dt
+        if n_brownian > 0:
+            dz[:, 1:] = _brownian(origins, k, n_brownian, dt)
+        x = x.copy()
+        for i in range(origins.size):
+            try:
+                coef = sde.coef_at(x[i])
+            except NonFiniteError:
+                if k == 0:
+                    raise
+                # _drive found every state up to t_k finite.
+                raise _overflow(t[k])
+            x[i] = x[i] + coef @ dz[i]
+        yield x
 
 
 def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
@@ -223,87 +342,41 @@ def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
     Path i draws from stream (seed, i), so output is independent of
     execution order.
     """
-    _validate_run(grid, n_paths)
-    if method not in ("exact", "euler"):
-        raise DimensionError(f"method must be 'exact' or 'euler', got {method!r}")
-    if isinstance(model, GeneralSde):
-        if method != "euler":
-            raise DimensionError("the exact method requires an OuModel")
-        return _euler_general(model, grid, n_paths, seed)
-    if not isinstance(model, OuModel):
-        raise DimensionError(f"unsupported model type {type(model).__name__}")
-
-    t = grid.t
-    steps = len(t) - 1
-    origins = _stream_origins(seed, np.arange(n_paths, dtype=np.uint64))
-    values = np.empty((n_paths, steps + 1, model.p))
-    x = np.repeat(model.x0[None, :], n_paths, axis=0)
-    values[:, 0, :] = x
-
-    # Unstable models can overflow over long horizons; that is reported
-    # once, after the loop, instead of as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method == "exact":
-            cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-            for k in range(steps):
-                dt = float(t[k + 1] - t[k])
-                if dt not in cache:
-                    # Pivots at or below the limit count as zero, so a
-                    # positive-semidefinite Q (even Q = 0) is factored.
-                    f, g, q = exact_transition(model, dt)
-                    low = matkit.cholesky_pivots(q, matkit.pivot_limit(q))[0]
-                    cache[dt] = (f, g, low)
-                f, g, low = cache[dt]
-                eta = _normals_from_origins(origins, k * model.p, model.p)
-                x = x @ f.T + g + eta @ low.T
-                values[:, k + 1, :] = x
-        else:
-            for k in range(steps):
-                dt = float(t[k + 1] - t[k])
-                dw = _normals_from_origins(origins, k * model.d, model.d) * np.sqrt(dt)
-                x = _euler_step(x, model.A, model.B, dt, dw @ model.sigma.T)
-                values[:, k + 1, :] = x
-    _require_finite(values, grid)
-    return PathBundle(grid, values, model.labels)
+    states = _states(model, grid, n_paths, seed, method)
+    values = np.empty((n_paths, len(grid), model.p))
+    _drive(states, grid, values)
+    labels = model.labels if isinstance(model, OuModel) else default_labels(model.p)
+    return PathBundle(grid, values, labels)
 
 
-def _euler_general(sde: GeneralSde, grid: TimeGrid, n_paths: int,
-                   seed: int) -> PathBundle:
-    """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated per path.
+def _coupled_states(model: OuModel, iv: Intervention, grid: TimeGrid,
+                    n_paths: int, seed: int, with_x: bool):
+    """Validate a coupled run and return its stepping generator.
 
-    A coefficient that is non-finite at x0 raises NonFiniteError. A state or
-    a coefficient that turns non-finite later means the paths diverged:
-    SimulationOverflowError names the first grid time where either happens.
+    The states are Y - X, or X and Y - X side by side when `with_x` is set
+    (see `coupled_intervention_diff`).
     """
-    t = grid.t
-    steps = len(t) - 1
-    n_brownian = sde.d - 1
+    _validate_run(grid, n_paths)
+    reduced, record = intervene_ou(model, iv)
+    keep = [i for i in range(model.p) if i != iv.m - 1]
     origins = _stream_origins(seed, np.arange(n_paths, dtype=np.uint64))
-    values = np.empty((n_paths, steps + 1, sde.p))
-    x = np.repeat(sde.x0[None, :], n_paths, axis=0)
-    values[:, 0, :] = x
-    with np.errstate(over="ignore", invalid="ignore"):  # see simulate_paths
-        for k in range(steps):
-            dt = float(t[k + 1] - t[k])
-            if n_brownian > 0:
-                dw = _normals_from_origins(origins, k * n_brownian, n_brownian)
-                dw = dw * np.sqrt(dt)
-            else:
-                dw = np.zeros((n_paths, 0))
-            for i in range(n_paths):
-                dz = np.concatenate(([dt], dw[i]))
-                try:
-                    coef = sde.coef_at(x[i])
-                except NonFiniteError:
-                    if k == 0:
-                        raise
-                    # Marking x(t_k) names t_k unless a state diverged earlier.
-                    values[i, k] = np.nan
-                    _require_finite(values[:, :k + 1], grid)
-                x[i] = x[i] + coef @ dz
-            values[:, k + 1, :] = x
-    _require_finite(values, grid)
-    return PathBundle(grid, values, tuple(f"X{i}" for i in range(1, sde.p + 1)))
+    t = grid.t
+
+    def steps():
+        x = np.repeat(model.x0[None, :], n_paths, axis=0)
+        u = x[:, keep].copy()
+        for k in range(len(t)):
+            if k > 0:
+                dt = float(t[k] - t[k - 1])
+                noise = _brownian(origins, k - 1, model.d, dt) @ model.sigma.T
+                # Slicing the full-model noise keeps the shared-noise
+                # coordinates bit-identical between the two recursions.
+                x = _euler_step(x, model.A, model.B, dt, noise)
+                u = _euler_step(u, reduced.A, reduced.B, dt, noise[:, keep])
+            diff = record.lift(u) - x
+            yield np.hstack((x, diff)) if with_x else diff
+
+    return steps()
 
 
 def coupled_intervention_diff(model: OuModel, iv: Intervention, grid: TimeGrid,
@@ -317,28 +390,41 @@ def coupled_intervention_diff(model: OuModel, iv: Intervention, grid: TimeGrid,
     construction. Rerunning `simulate_paths(model, ..., method="euler")`
     with the same seed reproduces the X component exactly.
     """
-    _validate_run(grid, n_paths)
-    reduced, record = intervene_ou(model, iv)
-    keep = [i for i in range(model.p) if i != iv.m - 1]
-    t = grid.t
-    steps = len(t) - 1
-    origins = _stream_origins(seed, np.arange(n_paths, dtype=np.uint64))
-    diffs = np.empty((n_paths, steps + 1, model.p))
-    x = np.repeat(model.x0[None, :], n_paths, axis=0)
-    u = x[:, keep].copy()
-    diffs[:, 0, :] = record.lift(u) - x
-    with np.errstate(over="ignore", invalid="ignore"):  # see simulate_paths
-        for k in range(steps):
-            dt = float(t[k + 1] - t[k])
-            dw = _normals_from_origins(origins, k * model.d, model.d) * np.sqrt(dt)
-            noise = dw @ model.sigma.T
-            # Slicing the full-model noise keeps the shared-noise coordinates
-            # bit-identical between the two recursions.
-            x = _euler_step(x, model.A, model.B, dt, noise)
-            u = _euler_step(u, reduced.A, reduced.B, dt, noise[:, keep])
-            diffs[:, k + 1, :] = record.lift(u) - x
-    _require_finite(diffs, grid)
+    states = _coupled_states(model, iv, grid, n_paths, seed, with_x=False)
+    diffs = np.empty((n_paths, len(grid), model.p))
+    _drive(states, grid, diffs)
     return PathBundle(grid, diffs, model.labels)
+
+
+def _coupled_paths(model: OuModel, iv: Intervention, grid: TimeGrid,
+                   n_paths: int, seed: int) -> np.ndarray:
+    """X and Y - X side by side, shape (n_paths, len(grid), 2p), from one
+    coupled pass: the X half equals `simulate_paths(model, ...,
+    method="euler").values` and the Y - X half equals
+    `coupled_intervention_diff(...).values`, bit for bit."""
+    states = _coupled_states(model, iv, grid, n_paths, seed, with_x=True)
+    values = np.empty((n_paths, len(grid), 2 * model.p))
+    _drive(states, grid, values)
+    return values
+
+
+def _sample_stats(x: np.ndarray) -> PathStats:
+    """Unbiased mean and covariance across the rows of x (n_paths, p)."""
+    n_paths = x.shape[0]
+    if n_paths < 2:
+        raise DimensionError("path statistics require n_paths >= 2")
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cov = centered.T @ centered / (n_paths - 1)
+    se = np.sqrt(np.diag(cov) / n_paths)
+    return PathStats(mean, cov, se)
+
+
+def _final_stats(states, grid: TimeGrid) -> PathStats:
+    """`path_stats(bundle, -1)` of the run a stepping generator describes,
+    holding only the current state, so memory is O(n_paths * p) however
+    long the grid is. Overflow is still checked at every grid time."""
+    return _sample_stats(_drive(states, grid))
 
 
 def path_stats(bundle: PathBundle, at: int) -> PathStats:
@@ -348,14 +434,7 @@ def path_stats(bundle: PathBundle, at: int) -> PathStats:
     least two paths; `at` follows Python indexing (negatives allowed) and
     raises IndexError when out of range.
     """
-    if bundle.n_paths < 2:
-        raise DimensionError("path statistics require n_paths >= 2")
     n_times = bundle.values.shape[1]
     if not -n_times <= at < n_times:
         raise IndexError(f"time index {at} out of range for {n_times} grid points")
-    x = bundle.values[:, at, :]
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (bundle.n_paths - 1)
-    se = np.sqrt(np.diag(cov) / bundle.n_paths)
-    return PathStats(mean, cov, se)
+    return _sample_stats(bundle.values[:, at, :])

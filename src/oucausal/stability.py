@@ -171,13 +171,15 @@ def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
     ident = np.eye(a.shape[0])
     iterations = 0
     while hi - lo > tol and iterations < 200:
-        mid = 0.5 * (lo + hi)
+        # Halving first keeps lo + hi from overflowing near the float64
+        # maximum; otherwise the bits equal 0.5 * (lo + hi).
+        mid = 0.5 * lo + 0.5 * hi
         if is_stable(a - mid * ident)[0]:
             hi = mid
         else:
             lo = mid
         iterations += 1
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:

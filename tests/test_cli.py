@@ -1,12 +1,23 @@
+import csv
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 from oucausal import cli
+from oucausal.modelfile import load_model_file
+from oucausal.models import intervene_seq
+from oucausal.simulate import (
+    coupled_intervention_diff,
+    path_stats,
+    simulate_paths,
+    uniform_grid,
+)
 
 DEMO = {
     "p": 3,
@@ -189,6 +200,21 @@ def test_stationary_with_entries_near_float64_max(tmp_path):
     assert np.max(np.abs(cov - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
+def test_describe_with_entries_near_float64_max(tmp_path, capsys):
+    # The bisection midpoint of the Gershgorin bracket [-1.5e308, -5e307]
+    # must not overflow: 0.5 * (lo + hi) read -inf and made B - mid I NaN.
+    b = [[-1e308, 0.0], [5e307, -1e308]]
+    path = write_model(tmp_path, dict(ROTATING, B=b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["describe", path])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    stability = json.loads(captured.out)["stability"]
+    assert stability["classification"] == "Stable"
+    assert abs(stability["spectral_abscissa"] + 1e308) <= 1e-12 * 1e308
+
+
 # ------------------------------------------------------------------ stability
 
 def test_stability_csv_single_row(tmp_path):
@@ -290,6 +316,8 @@ def test_simulate_validates_counts(tmp_path):
 @pytest.mark.parametrize("flags", [
     ("--t", "2000", "--steps", "10"),
     ("--coupled", "--t", "6000", "--steps", "3000"),
+    ("--stats-only", "--t", "2000", "--steps", "10"),
+    ("--coupled", "--stats-only", "--t", "6000", "--steps", "3000"),
 ])
 def test_simulate_unstable_overflow_exits_5(tmp_path, flags):
     doc = dict(ROTATING, B=[[0.5, 0.2], [0.0, -1.0]],
@@ -305,12 +333,110 @@ def test_simulate_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
-    monkeypatch.setattr(cli, "simulate_paths", exhausted)
+    # --stats-only simulates through _final_stats, not simulate_paths.
+    monkeypatch.setattr(cli, "_final_stats", exhausted)
     code = cli.main(["simulate", write_model(tmp_path, DEMO), "--stats-only"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
+def _csv_writer_reference(header, grid_t, columns):
+    # The row-by-row csv.writer formatting that _paths_csv must reproduce.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    n_paths, n_times, _ = columns.shape
+    for i in range(n_paths):
+        for k in range(n_times):
+            writer.writerow([i, repr(float(grid_t[k]))]
+                            + [repr(float(v)) for v in columns[i, k]])
+    return buffer.getvalue()
+
+
+def test_paths_csv_matches_csv_writer():
+    special = [-0.0, 5e-324, 0.1, 2.0, 1e16, 1e22, -1.5e-7]
+    columns = np.array(special * 6).reshape(3, 2, 7)
+    columns[1] *= -3.0
+    grid_t = np.array([0.0, 0.1])
+    header = ["path", "t", "X1", "a,b", 'q"x', "X4", "X5", "X6", "X7"]
+    text = cli._paths_csv(header, grid_t, columns)
+    assert text == _csv_writer_reference(header, grid_t, columns)
+    assert "-0.0,5e-324,0.1,2.0,1e+16,1e+22,-1.5e-07" in text
+
+
+def _run_in_process(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+PINNED_DEMO = dict(DEMO, x0=[0.5, -1.0, 2.0], interventions=[{"on": "X2", "value": 1.5}])
+
+
+@pytest.mark.parametrize("method", ["exact", "euler"])
+def test_simulate_stats_only_equals_full_bundle_stats(tmp_path, capsys, method):
+    path = write_model(tmp_path, PINNED_DEMO)
+    out = _run_in_process(capsys, "simulate", path, "--stats-only", "--method", method,
+                          "--t", "2.5", "--steps", "17", "--paths", "300", "--seed", "9")
+    model, ivs = load_model_file(path)
+    model, _ = intervene_seq(model, ivs)
+    grid = uniform_grid(2.5, 17)
+    bundle = simulate_paths(model, grid, 300, 9, method=method)
+    assert out == cli._stats_json(grid, bundle.labels, 300, path_stats(bundle, -1))
+
+
+def test_simulate_coupled_stats_only_equals_full_bundle_stats(tmp_path, capsys):
+    path = write_model(tmp_path, PINNED_DEMO)
+    out = _run_in_process(capsys, "simulate", path, "--coupled", "--stats-only",
+                          "--t", "2.5", "--steps", "17", "--paths", "300", "--seed", "9")
+    model, ivs = load_model_file(path)
+    grid = uniform_grid(2.5, 17)
+    diff = coupled_intervention_diff(model, ivs[0], grid, 300, 9)
+    assert out == cli._stats_json(grid, diff.labels, 300, path_stats(diff, -1))
+
+
+def test_simulate_coupled_csv_columns_equal_separate_runs(tmp_path, capsys):
+    pinned = write_model(tmp_path, PINNED_DEMO, "pinned.json")
+    free = write_model(tmp_path, dict(DEMO, x0=PINNED_DEMO["x0"]), "free.json")
+    grid_flags = ("--t", "1.5", "--steps", "12", "--paths", "7", "--seed", "4")
+    coupled = _run_in_process(capsys, "simulate", pinned, "--coupled", *grid_flags)
+    euler = _run_in_process(capsys, "simulate", free, "--method", "euler", *grid_flags)
+    coupled_rows = [line.split(",") for line in coupled.splitlines()]
+    euler_rows = [line.split(",") for line in euler.splitlines()]
+    assert len(coupled_rows) == len(euler_rows) == 1 + 7 * 13
+    # path, t and the X columns are the --method euler CSV, byte for byte.
+    assert [row[:5] for row in coupled_rows] == euler_rows
+    model, ivs = load_model_file(pinned)
+    diff = coupled_intervention_diff(model, ivs[0], uniform_grid(1.5, 12), 7, 4)
+    d_cells = [row[5:] for row in coupled_rows[1:]]
+    assert d_cells == [[repr(v) for v in row] for row in diff.values.reshape(-1, 3).tolist()]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux")
+def test_simulate_stats_only_memory_does_not_grow_with_steps(tmp_path):
+    # Each run reports its own peak through RUSAGE_SELF in a fresh
+    # interpreter; RUSAGE_CHILDREN would keep the maximum of every child.
+    path = write_model(tmp_path, DEMO)
+    script = (
+        "import os, resource, sys\n"
+        "from oucausal import cli\n"
+        "code = cli.main(['simulate', sys.argv[1], '--stats-only', '--paths', '20000',\n"
+        "                 '--steps', sys.argv[2], '--t', '1.0', '-o', os.devnull])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    peaks_mb = []
+    for steps in ("5", "200"):
+        out = subprocess.run([sys.executable, "-c", script, path, steps],
+                             capture_output=True, text=True)
+        code, peak_kb = out.stdout.split()
+        assert code == "0", out.stderr
+        peaks_mb.append(int(peak_kb) / 1024.0)
+    # Holding every state would add 20000 x 196 x 3 doubles, about 94 MB.
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 10.0, peaks_mb
 
 
 def test_output_flag_writes_file(tmp_path):

@@ -145,7 +145,9 @@ def _decidable(b):
     b = b / size  # LAPACK's eigensolvers lose accuracy on tiny inputs
     lam, left, right = eig(b, left=True, right=True)
     overlap = np.abs(np.sum(left.conj() * right, axis=0))
-    with np.errstate(divide="ignore"):
+    # An infinite kappa (zero overlap, or an overflowing quotient) already
+    # means "undecidable", so neither warning is of interest.
+    with np.errstate(divide="ignore", over="ignore"):
         kappa = np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0) / overlap
     shift = kappa * 1e-8 * np.linalg.norm(b, 2)
     return bool(np.all(lam.real + shift < 0) or np.any(lam.real - shift > 0))
