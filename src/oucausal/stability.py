@@ -5,7 +5,10 @@ matrix sign function (Roberts 1971; Higham, Functions of Matrices, 2008,
 ch. 5), run on the p x p blocks of H = [[B, Q], [0, -B^T]]. When B is
 stable, sign(H) = [[-I, 2X], [0, I]], where X solves B X + X B^T + Q = 0.
 So B is stable iff the iterates of B tend to sign(B) = -I, and the same
-iteration yields X. Each step costs O(p^3).
+iteration yields X. Each step costs O(p^3). The solver takes a stack of
+same-size problems and steps them in lockstep, since numpy's `inv` and
+`slogdet` accept stacks; a single matrix is a stack of one. At small p
+the cost is Python and numpy call overhead, which a stack shares.
 
 The certificate X (for Q = I) is positive definite in exact arithmetic;
 its accuracy falls as the spectral abscissa approaches 0, where X grows
@@ -17,6 +20,8 @@ rounding (see `solve_lyapunov`).
 The spectral abscissa (max real part of the eigenvalues) is found by
 bisecting on the shift s, using the fact that B - s I is stable exactly
 when s exceeds the abscissa; Gershgorin row bounds bracket the search.
+Principal-submatrix screening bisects all submatrices of one size
+together, each with its own bracket.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
 tolerance band: exact imaginary-axis eigenvalues are not decidable in
@@ -39,6 +44,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SUBSET_BUDGET = 2**14
 _SIGN_MAX_ITER = 100  # far above the ~10-40 steps a decidable input needs
 _SWAMPED_SCORE = 1e4  # scaled residual of a swamped solve; see solve_lyapunov
+_STACK_FLOATS = 2**20  # floats per stacked array in a screen, which bounds its memory
+_Solution = tuple[bool, "np.ndarray | None"]
 
 
 class Classification(str, Enum):
@@ -73,7 +80,7 @@ class SubmatrixScreen:
 
 
 @np.errstate(all="ignore")  # overflow and singular iterates are verdicts here
-def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> tuple[bool, np.ndarray | None]:
+def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
     """Decide stability of B and solve B X + X B^T + Q = 0, in O(p^3) per step.
 
     Coupled sign iteration with determinantal scaling c = |det B_k|^(-1/p):
@@ -96,45 +103,103 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> tuple[bool, np.ndarray | Non
     ones score about 1e-15 away from the axis, and stayed below 5 in
     sweeps down to 1e-11 from it, where X has lost most of its accuracy.
 
-    Returns (True, X) with X = lim Q_k / 2 symmetrized, or (False, None).
+    For p x p B and Q, returns (True, X) with X = lim Q_k / 2 symmetrized,
+    or (False, None). For (m, p, p) stacks it returns that pair for each
+    member. The members iterate in lockstep through numpy's stacked `inv`
+    and `slogdet`, and each leaves the stack when it finishes. A member
+    gets the same floating-point operations, so the same bits, as alone.
     """
-    n = b.shape[0]
+    single = b.ndim == 2
+    if single:
+        b, q = b[None], q[None]
+    m, n = b.shape[:2]
     # Dividing B and Q by the power of two 2^(e-1) <= max|B| < 2^e leaves X
     # unchanged and starts the iteration near unit scale, so tiny or huge B
     # cannot overflow it (2^e itself overflows when max|B| >= 2^1023).
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(b), initial=0.0)))[1] - 1)
+    top = np.max(np.abs(b), axis=(1, 2), keepdims=True, initial=0.0)
+    unit = np.ldexp(0.5, np.frexp(top)[1])
     a, x = b / unit, q / unit
-    scaled, unscaled_steps = True, 0
+    members = list(range(m))  # stack position -> member
+    phase = [0] * m  # 0 while scaling, then 1 + the unscaled steps taken
+    results = [(False, None)] * m
     for _ in range(_SIGN_MAX_ITER):
         try:
             inv = np.linalg.inv(a)
-            c = np.exp(-np.linalg.slogdet(a)[1] / n) if scaled else 1.0
-        except np.linalg.LinAlgError:
-            return False, None
+        except np.linalg.LinAlgError:  # one singular member fails the stack
+            inv = np.array([_inverse_or_nan(ai) for ai in a])
+        scaling, c = 0 in phase, 1.0
+        if scaling:
+            # x / -n has the bits of -(x / n), with one operation fewer.
+            c = np.exp(np.linalg.slogdet(a)[1][:, None, None] / -n)
+            if any(phase):
+                c[[k > 0 for k in phase]] = 1.0
         inv_c = inv / c
         a_next = 0.5 * (c * a + inv_c)
-        x = 0.5 * (c * x + inv_c @ x @ inv.T)
-        size = float(np.abs(a_next).sum())
-        if not np.isfinite(size):
-            return False, None
-        if not scaled:
-            unscaled_steps += 1
-        elif float(np.abs(a_next - a).sum()) <= 1e-3 * size:
-            scaled = False
+        x = 0.5 * (c * x + inv_c @ x @ inv.transpose(0, 2, 1))
+        sizes = np.abs(a_next).sum(axis=(1, 2)).tolist()
+        if scaling:
+            changes = np.abs(a_next - a).sum(axis=(1, 2)).tolist()
         a = a_next
-        if unscaled_steps == 2:
+        done, leaving = [], []
+        for i, size in enumerate(sizes):
+            if not math.isfinite(size):
+                leaving.append(i)
+            elif phase[i]:
+                phase[i] += 1
+                if phase[i] == 3:
+                    done.append(i)
+                    leaving.append(i)
+            elif changes[i] <= 1e-3 * size:
+                phase[i] = 1
+        if done:
+            finished = [members[i] for i in done]
+            if len(done) == m:  # every member at once, as always when m = 1
+                ok, xs = _checked(b, q, a, x)
+            else:
+                ok, xs = _checked(b[finished], q[finished], a[done], x[done])
+            for member, good, xm in zip(finished, ok.tolist(), xs):
+                if good:
+                    results[member] = (True, xm)
+        if len(leaving) == len(members):
             break
-    else:
-        return False, None
-    if not np.trace(a) < 1 - n:
-        return False, None
-    x = 0.25 * (x + x.T)
+        if leaving:
+            stay = [i for i in range(len(members)) if i not in leaving]
+            a, x = a[stay], x[stay]
+            members = [members[i] for i in stay]
+            phase = [phase[i] for i in stay]
+    # Members left in the stack hit the cap: eigenvalues on the axis.
+    return results[0] if single else results
+
+
+def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
+    """Inverse of a, or NaNs, which fail the size test, when a is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.full_like(a, np.nan)
+
+
+def _checked(b, q, a, x) -> tuple[np.ndarray, np.ndarray]:
+    """Trace, finiteness and residual tests of finished members, and their X."""
+    ok = a.trace(axis1=1, axis2=2) < 1 - b.shape[-1]
+    if not ok.any():
+        return ok, x
+    x = 0.25 * (x + x.transpose(0, 2, 1))
     bx = b @ x  # X is symmetric, so X B^T = (B X)^T
-    d = np.sqrt(2.0 * np.sum(np.abs(b) * np.abs(x), axis=1) + np.abs(np.diag(q)))
-    residual = np.abs(bx + bx.T + q)
-    if not (np.all(np.isfinite(x)) and np.all(residual <= _SWAMPED_SCORE * np.outer(d, d))):
-        return False, None
-    return True, x
+    d = np.sqrt(2.0 * (np.abs(b) * np.abs(x)).sum(axis=2) + np.abs(q.diagonal(axis1=1, axis2=2)))
+    residual = np.abs(bx + bx.transpose(0, 2, 1) + q)
+    bound = _SWAMPED_SCORE * (d[:, :, None] * d[:, None, :])
+    ok &= (np.isfinite(x) & (residual <= bound)).all(axis=(1, 2))
+    return ok, x
+
+
+def _square(b, tol: float = DEFAULT_TOL) -> np.ndarray:
+    a = matkit.as_matrix(b, name="B")
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"B must be square, got {a.shape}")
+    if tol <= 0:
+        raise DimensionError("tol must be positive")
+    return a
 
 
 def is_stable(b) -> tuple[bool, np.ndarray | None]:
@@ -142,17 +207,39 @@ def is_stable(b) -> tuple[bool, np.ndarray | None]:
 
     The certificate X solves B X + X B^T = -I (see `solve_lyapunov`).
     """
-    a = matkit.as_matrix(b, name="B")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"B must be square, got {a.shape}")
+    a = _square(b)
     return solve_lyapunov(a, np.eye(a.shape[0]))
 
 
 def gershgorin_real_bounds(b: np.ndarray) -> tuple[float, float]:
-    """Bounds on the real parts of the eigenvalues from Gershgorin rows."""
-    d = np.diag(b)
-    radii = np.sum(np.abs(b), axis=1) - np.abs(d)
-    return float(np.min(d - radii)), float(np.max(d + radii))
+    """Bounds on the real parts of the eigenvalues from Gershgorin rows
+    (for an (m, n, n) stack, two lists with the bounds of each member)."""
+    d = np.diagonal(b, axis1=-2, axis2=-1)
+    radii = np.sum(np.abs(b), axis=-1) - np.abs(d)
+    return np.min(d - radii, axis=-1).tolist(), np.max(d + radii, axis=-1).tolist()
+
+
+def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
+    """`spectral_abscissa` of each member of an (m, n, n) stack: each keeps
+    its own bracket, and one stacked solve serves every unfinished member."""
+    lo, hi = gershgorin_real_bounds(stack)
+    hi = [h + 1.0 for h in hi]  # strictly above the abscissa, so B - hi I is stable
+    ident = np.eye(stack.shape[1])
+    units = np.broadcast_to(ident, stack.shape)
+    active = list(range(len(lo)))
+    for _ in range(200):
+        active = [i for i in active if hi[i] - lo[i] > tol]
+        if not active:
+            break
+        # Halving first keeps lo + hi from overflowing near the float64
+        # maximum; otherwise the bits equal 0.5 * (lo + hi).
+        mids = [0.5 * lo[i] + 0.5 * hi[i] for i in active]
+        members = stack if len(active) == len(stack) else stack[active]
+        shifted = members - np.array(mids)[:, None, None] * ident
+        verdicts = solve_lyapunov(shifted, units[:len(active)])
+        for i, mid, (ok, _) in zip(active, mids, verdicts):
+            (hi if ok else lo)[i] = mid
+    return [0.5 * l + 0.5 * h for l, h in zip(lo, hi)]
 
 
 def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
@@ -161,25 +248,21 @@ def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
     B - s I is stable iff s > abscissa, so each stability test halves the
     Gershgorin bracket.
     """
-    a = matkit.as_matrix(b, name="B")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"B must be square, got {a.shape}")
-    if tol <= 0:
-        raise DimensionError("tol must be positive")
-    lo, hi = gershgorin_real_bounds(a)
-    hi += 1.0  # strictly above the abscissa, so B - hi I is stable
-    ident = np.eye(a.shape[0])
-    iterations = 0
-    while hi - lo > tol and iterations < 200:
-        # Halving first keeps lo + hi from overflowing near the float64
-        # maximum; otherwise the bits equal 0.5 * (lo + hi).
-        mid = 0.5 * lo + 0.5 * hi
-        if is_stable(a - mid * ident)[0]:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    return 0.5 * lo + 0.5 * hi
+    return _abscissae(_square(b, tol)[None], tol)[0]
+
+
+def _classified(stack: np.ndarray, tol: float) -> list[StabilityReport]:
+    """`classify` of each member of an (m, n, n) stack, in lockstep."""
+    abscissae = _abscissae(stack, tol)
+    stable = [i for i, s in enumerate(abscissae) if s < -tol]
+    certificates = [None] * len(abscissae)
+    if stable:
+        units = np.broadcast_to(np.eye(stack.shape[1]), (len(stable),) + stack.shape[1:])
+        for i, (_, x) in zip(stable, solve_lyapunov(stack[stable], units)):
+            certificates[i] = x
+    return [StabilityReport(Classification.STABLE if s < -tol else Classification.UNSTABLE
+                            if s > tol else Classification.SEMISTABLE_NOT_STABLE, s, tol, x)
+            for s, x in zip(abscissae, certificates)]
 
 
 def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:
@@ -188,14 +271,7 @@ def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:
     Stable when the abscissa estimate is below -tol (with certificate),
     Unstable above +tol, and SemistableNotStable inside the band.
     """
-    a = matkit.as_matrix(b, name="B")
-    abscissa = spectral_abscissa(a, tol)
-    if abscissa < -tol:
-        _, certificate = is_stable(a)
-        return StabilityReport(Classification.STABLE, abscissa, tol, certificate)
-    if abscissa > tol:
-        return StabilityReport(Classification.UNSTABLE, abscissa, tol)
-    return StabilityReport(Classification.SEMISTABLE_NOT_STABLE, abscissa, tol)
+    return _classified(_square(b, tol)[None], tol)[0]
 
 
 def screen_principal_submatrices(
@@ -212,15 +288,20 @@ def screen_principal_submatrices(
     exceeds `budget`. Entries are ordered by removal-set size, then
     lexicographically, so output is deterministic.
 
+    The submatrices of one size are classified together: one fancy index
+    gathers them into a stack, which is bisected in lockstep, and the
+    Stable members get their certificates from one stacked solve. A size
+    class is cut into chunks of at most _STACK_FLOATS floats per stacked
+    array, which bounds memory at large p. Each entry equals `classify` of
+    its submatrix bit for bit.
+
     Symmetric fast path: a symmetric stable matrix has only stable principal
     submatrices (eigenvalue interlacing), so when B is symmetric and stable
     all entries are marked Stable without per-submatrix bisection; their
     reported abscissa is then the parent's abscissa, which interlacing makes
     a valid upper bound.
     """
-    a = matkit.as_matrix(b, name="B")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"B must be square, got {a.shape}")
+    a = _square(b)
     p = a.shape[0]
     max_removed = p - 1 if max_size_removed is None else min(max_size_removed, p - 1)
     if max_removed < 0:
@@ -231,31 +312,24 @@ def screen_principal_submatrices(
             f"{total} removal sets exceed the budget of {budget}; "
             "restrict max_size_removed"
         )
-    removal_sets = [
-        frozenset(combo)
-        for k in range(max_removed + 1)
-        for combo in itertools.combinations(range(1, p + 1), k)
-    ]
 
     base = classify(a, tol)
-    if use_fast_path and matkit.is_symmetric(a) and base.classification is Classification.STABLE:
-        entries = [(frozenset(), base)]
-        bound = StabilityReport(
-            Classification.STABLE, base.spectral_abscissa, tol, None
-        )
-        entries.extend((rm, bound) for rm in removal_sets[1:])
-        return SubmatrixScreen(tuple(entries), True, fast_path=True)
-
     entries = [(frozenset(), base)]
-    for rm in removal_sets[1:]:
-        sub = matkit.principal_submatrix(a, rm)
-        entries.append((rm, classify(sub, tol)))
-    all_proper = all(
-        rep.classification is Classification.STABLE
-        for rm, rep in entries
-        if rm
-    )
-    return SubmatrixScreen(tuple(entries), all_proper, fast_path=False)
+    fast = use_fast_path and matkit.is_symmetric(a) and base.classification is Classification.STABLE
+    bound = StabilityReport(Classification.STABLE, base.spectral_abscissa, tol, None)
+    for k in range(1, max_removed + 1):
+        removed = list(map(frozenset, itertools.combinations(range(1, p + 1), k)))
+        if fast:
+            entries.extend((rm, bound) for rm in removed)
+            continue
+        kept = np.array([[i for i in range(p) if i + 1 not in rm] for rm in removed])
+        chunk = max(1, _STACK_FLOATS // (p - k) ** 2)
+        for start in range(0, len(removed), chunk):
+            rows = kept[start:start + chunk]
+            reports = _classified(a[rows[:, :, None], rows[:, None, :]], tol)
+            entries.extend(zip(removed[start:start + chunk], reports))
+    all_proper = all(rep.classification is Classification.STABLE for rm, rep in entries if rm)
+    return SubmatrixScreen(tuple(entries), all_proper, fast_path=fast)
 
 
 def verify_diagonal_certificate(b, diag) -> bool:

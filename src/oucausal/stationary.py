@@ -122,15 +122,20 @@ def stationary_distribution(model: OuModel) -> GaussianLaw:
     verdict = Verdict.EXISTS
     if matkit.rank(model.sigma) < model.p:
         verdict = Verdict.INDETERMINATE_COLUMN_SPAN
-    elif not stability.is_stable(model.B)[0]:
-        verdict = Verdict.NOT_EXISTS
+    else:
+        # One stacked solve decides stability (Q = I) and gives the
+        # covariance (Q = sigma sigma^T): the B iterates do not depend on Q.
+        (stable, _), (solved, g) = stability.solve_lyapunov(
+            np.stack([model.B, model.B]),
+            np.stack([np.eye(model.p), model.sigma @ model.sigma.T]))
+        if not stable:
+            verdict = Verdict.NOT_EXISTS
     if verdict is not Verdict.EXISTS:
         raise NoStationaryDistributionError(
             f"no stationary distribution: verdict {verdict.value}"
         )
-    # B was just found stable, and the B iterates do not depend on Q, so a
-    # failure here can only be a covariance beyond the float64 range.
-    solved, g = stability.solve_lyapunov(model.B, model.sigma @ model.sigma.T)
+    # B is stable, so a failed covariance solve can only be a covariance
+    # beyond the float64 range.
     if not solved:
         raise NonFiniteError("the stationary covariance overflows float64")
     return GaussianLaw(model.A.copy(), g)
