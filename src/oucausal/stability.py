@@ -21,7 +21,8 @@ The spectral abscissa (max real part of the eigenvalues) is found by
 bisecting on the shift s, using the fact that B - s I is stable exactly
 when s exceeds the abscissa; Gershgorin row bounds bracket the search.
 Principal-submatrix screening bisects all submatrices of one size
-together, each with its own bracket.
+together, each with its own bracket. A small stack, such as one matrix at
+p <= 10, also tests both possible next midpoints in each solve.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
 tolerance band: exact imaginary-axis eigenvalues are not decidable in
@@ -45,6 +46,7 @@ DEFAULT_SUBSET_BUDGET = 2**14
 _SIGN_MAX_ITER = 100  # far above the ~10-40 steps a decidable input needs
 _SWAMPED_SCORE = 1e4  # scaled residual of a swamped solve; see solve_lyapunov
 _STACK_FLOATS = 2**20  # floats per stacked array in a screen, which bounds its memory
+_SPECULATE_FLOATS = 100  # stacks up to this size bisect two steps per solve
 _Solution = tuple[bool, "np.ndarray | None"]
 
 
@@ -130,9 +132,11 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
         scaling, c = 0 in phase, 1.0
         if scaling:
             # x / -n has the bits of -(x / n), with one operation fewer.
-            c = np.exp(np.linalg.slogdet(a)[1][:, None, None] / -n)
+            c = np.exp(np.linalg.slogdet(a)[1] / -n)
             if any(phase):
                 c[[k > 0 for k in phase]] = 1.0
+            # A scalar is cheaper to broadcast, and gives the same bits.
+            c = c[:, None, None] if len(c) > 1 else c[0]
         inv_c = inv / c
         a_next = 0.5 * (c * a + inv_c)
         x = 0.5 * (c * x + inv_c @ x @ inv.transpose(0, 2, 1))
@@ -140,30 +144,24 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
         if scaling:
             changes = np.abs(a_next - a).sum(axis=(1, 2)).tolist()
         a = a_next
-        done, leaving = [], []
         for i, size in enumerate(sizes):
             if not math.isfinite(size):
-                leaving.append(i)
+                phase[i] = -1  # fails
             elif phase[i]:
-                phase[i] += 1
-                if phase[i] == 3:
-                    done.append(i)
-                    leaving.append(i)
+                phase[i] += 1  # finishes at 3
             elif changes[i] <= 1e-3 * size:
                 phase[i] = 1
+        done = [i for i, k in enumerate(phase) if k == 3]
         if done:
             finished = [members[i] for i in done]
-            if len(done) == m:  # every member at once, as always when m = 1
-                ok, xs = _checked(b, q, a, x)
-            else:
-                ok, xs = _checked(b[finished], q[finished], a[done], x[done])
+            ok, xs = _checked(b[finished], q[finished], a[done], x[done])
             for member, good, xm in zip(finished, ok.tolist(), xs):
                 if good:
                     results[member] = (True, xm)
-        if len(leaving) == len(members):
+        stay = [i for i, k in enumerate(phase) if 0 <= k < 3]
+        if not stay:
             break
-        if leaving:
-            stay = [i for i in range(len(members)) if i not in leaving]
+        if len(stay) < len(phase):
             a, x = a[stay], x[stay]
             members = [members[i] for i in stay]
             phase = [phase[i] for i in stay]
@@ -182,8 +180,6 @@ def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
 def _checked(b, q, a, x) -> tuple[np.ndarray, np.ndarray]:
     """Trace, finiteness and residual tests of finished members, and their X."""
     ok = a.trace(axis1=1, axis2=2) < 1 - b.shape[-1]
-    if not ok.any():
-        return ok, x
     x = 0.25 * (x + x.transpose(0, 2, 1))
     bx = b @ x  # X is symmetric, so X B^T = (B X)^T
     d = np.sqrt(2.0 * (np.abs(b) * np.abs(x)).sum(axis=2) + np.abs(q.diagonal(axis1=1, axis2=2)))
@@ -221,24 +217,37 @@ def gershgorin_real_bounds(b: np.ndarray) -> tuple[float, float]:
 
 def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
     """`spectral_abscissa` of each member of an (m, n, n) stack: each keeps
-    its own bracket, and one stacked solve serves every unfinished member."""
+    its own bracket, and one stacked solve serves every unfinished member.
+
+    A stack of at most _SPECULATE_FLOATS floats costs call overhead more
+    than flops, so each solve also tests both possible next midpoints and
+    takes two bisection steps: the shifts, so the verdicts, are unchanged.
+    """
     lo, hi = gershgorin_real_bounds(stack)
     hi = [h + 1.0 for h in hi]  # strictly above the abscissa, so B - hi I is stable
+    width = 3 if stack.size <= _SPECULATE_FLOATS else 1
     ident = np.eye(stack.shape[1])
-    units = np.broadcast_to(ident, stack.shape)
+    units = np.broadcast_to(ident, (width * len(stack),) + stack.shape[1:])
     active = list(range(len(lo)))
-    for _ in range(200):
+    for _ in range(200 if width == 1 else 100):
         active = [i for i in active if hi[i] - lo[i] > tol]
         if not active:
             break
         # Halving first keeps lo + hi from overflowing near the float64
         # maximum; otherwise the bits equal 0.5 * (lo + hi).
-        mids = [0.5 * lo[i] + 0.5 * hi[i] for i in active]
-        members = stack if len(active) == len(stack) else stack[active]
-        shifted = members - np.array(mids)[:, None, None] * ident
-        verdicts = solve_lyapunov(shifted, units[:len(active)])
-        for i, mid, (ok, _) in zip(active, mids, verdicts):
-            (hi if ok else lo)[i] = mid
+        shifts = []
+        for i in active:
+            mid = 0.5 * lo[i] + 0.5 * hi[i]
+            shifts += [mid, 0.5 * lo[i] + 0.5 * mid, 0.5 * mid + 0.5 * hi[i]][:width]
+        members = stack[np.repeat(active, width)]
+        verdicts = solve_lyapunov(members - np.array(shifts)[:, None, None] * ident,
+                                  units[:len(shifts)])
+        for j, i in enumerate(active):
+            ok = verdicts[width * j][0]
+            (hi if ok else lo)[i] = shifts[width * j]
+            k = width * j + (1 if ok else 2)  # the next midpoint, left or right
+            if width == 3 and hi[i] - lo[i] > tol:
+                (hi if verdicts[k][0] else lo)[i] = shifts[k]
     return [0.5 * l + 0.5 * h for l, h in zip(lo, hi)]
 
 
@@ -260,9 +269,11 @@ def _classified(stack: np.ndarray, tol: float) -> list[StabilityReport]:
         units = np.broadcast_to(np.eye(stack.shape[1]), (len(stable),) + stack.shape[1:])
         for i, (_, x) in zip(stable, solve_lyapunov(stack[stable], units)):
             certificates[i] = x
-    return [StabilityReport(Classification.STABLE if s < -tol else Classification.UNSTABLE
-                            if s > tol else Classification.SEMISTABLE_NOT_STABLE, s, tol, x)
-            for s, x in zip(abscissae, certificates)]
+    return [StabilityReport(
+        Classification.STABLE if s < -tol
+        else Classification.UNSTABLE if s > tol
+        else Classification.SEMISTABLE_NOT_STABLE, s, tol, x)
+        for s, x in zip(abscissae, certificates)]
 
 
 def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import eig
 
-from oucausal import OuModel, cli, classify, matkit, stability, stationary_distribution
+from oucausal import (
+    OuModel, cli, classify, is_stable, matkit, stability, stationary_distribution,
+)
 from oucausal.stability import screen_principal_submatrices, solve_lyapunov, spectral_abscissa
 
 # -------------------------------------------------------------------- models
@@ -140,15 +142,41 @@ _stacks = st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
                       elements=st.floats(-3.0, 3.0, allow_nan=False, width=64)))
 
 
+def _serial_abscissa(b, tol=stability.DEFAULT_TOL):
+    """Plain bisection of the Gershgorin bracket, one `is_stable` per step."""
+    d = np.diag(b)
+    radii = np.sum(np.abs(b), axis=1) - np.abs(d)
+    lo, hi = float(np.min(d - radii)), float(np.max(d + radii)) + 1.0
+    steps = 0
+    while hi - lo > tol and steps < 200:
+        mid = 0.5 * lo + 0.5 * hi
+        if is_stable(b - mid * np.eye(b.shape[0]))[0]:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return 0.5 * lo + 0.5 * hi
+
+
 @settings(max_examples=60, deadline=None)
 @given(stack=_stacks)
 def test_stacked_abscissae_equal_serial_and_eigvals(stack):
+    # Stacks of up to 100 floats take two bisection steps per solve; larger
+    # ones take one. Both must follow the plain bisection bit for bit.
     tol = stability.DEFAULT_TOL
     stacked = stability._abscissae(stack, tol)
+    assert stacked == [_serial_abscissa(b) for b in stack]
     assert stacked == [spectral_abscissa(b, tol) for b in stack]
     for b, abscissa in zip(stack, stacked):
         if _well_conditioned(b):
             assert abs(abscissa - np.max(np.linalg.eigvals(b).real)) <= tol
+
+
+def test_bisection_step_cap_matches_serial_reference():
+    # A bracket near the float64 maximum needs over 1000 halvings to reach
+    # tol, so both bisections stop at the 200-step cap.
+    b = np.array([[-1e308, 0.0], [5e307, -1e308]])
+    assert spectral_abscissa(b) == _serial_abscissa(b)
 
 
 # ----------------------------------------------------------------- screening
