@@ -118,7 +118,7 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
     # Dividing B and Q by the power of two 2^(e-1) <= max|B| < 2^e leaves X
     # unchanged and starts the iteration near unit scale, so tiny or huge B
     # cannot overflow it (2^e itself overflows when max|B| >= 2^1023).
-    top = np.max(np.abs(b), axis=(1, 2), keepdims=True, initial=0.0)
+    top = np.abs(b).max(axis=(1, 2), keepdims=True, initial=0.0)
     unit = np.ldexp(0.5, np.frexp(top)[1])
     a, x = b / unit, q / unit
     members = list(range(m))  # stack position -> member
@@ -140,28 +140,33 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
         inv_c = inv / c
         a_next = 0.5 * (c * a + inv_c)
         x = 0.5 * (c * x + inv_c @ x @ inv.transpose(0, 2, 1))
-        sizes = np.abs(a_next).sum(axis=(1, 2)).tolist()
+        sizes = np.add.reduce(np.abs(a_next), axis=(1, 2)).tolist()
         if scaling:
-            changes = np.abs(a_next - a).sum(axis=(1, 2)).tolist()
+            changes = np.add.reduce(np.abs(a_next - a), axis=(1, 2)).tolist()
         a = a_next
+        done, failed = [], False
         for i, size in enumerate(sizes):
             if not math.isfinite(size):
-                phase[i] = -1  # fails
+                phase[i], failed = -1, True
             elif phase[i]:
-                phase[i] += 1  # finishes at 3
+                phase[i] += 1
+                if phase[i] == 3:
+                    done.append(i)
             elif changes[i] <= 1e-3 * size:
                 phase[i] = 1
-        done = [i for i, k in enumerate(phase) if k == 3]
         if done:
             finished = [members[i] for i in done]
-            ok, xs = _checked(b[finished], q[finished], a[done], x[done])
+            if len(done) == m:  # every member at once, as always when m = 1
+                ok, xs = _checked(b, q, a, x)
+            else:
+                ok, xs = _checked(b[finished], q[finished], a[done], x[done])
             for member, good, xm in zip(finished, ok.tolist(), xs):
                 if good:
                     results[member] = (True, xm)
-        stay = [i for i, k in enumerate(phase) if 0 <= k < 3]
-        if not stay:
-            break
-        if len(stay) < len(phase):
+        if done or failed:  # members at phase -1 or 3 leave the stack
+            stay = [i for i, k in enumerate(phase) if 0 <= k < 3]
+            if not stay:
+                break
             a, x = a[stay], x[stay]
             members = [members[i] for i in stay]
             phase = [phase[i] for i in stay]
@@ -180,6 +185,8 @@ def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
 def _checked(b, q, a, x) -> tuple[np.ndarray, np.ndarray]:
     """Trace, finiteness and residual tests of finished members, and their X."""
     ok = a.trace(axis1=1, axis2=2) < 1 - b.shape[-1]
+    if not ok.any():  # skip the residual test when every limit is wrong
+        return ok, x
     x = 0.25 * (x + x.transpose(0, 2, 1))
     bx = b @ x  # X is symmetric, so X B^T = (B X)^T
     d = np.sqrt(2.0 * (np.abs(b) * np.abs(x)).sum(axis=2) + np.abs(q.diagonal(axis1=1, axis2=2)))
