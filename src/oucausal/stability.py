@@ -246,7 +246,8 @@ def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
         for i in active:
             mid = 0.5 * lo[i] + 0.5 * hi[i]
             shifts += [mid, 0.5 * lo[i] + 0.5 * mid, 0.5 * mid + 0.5 * hi[i]][:width]
-        members = stack[np.repeat(active, width)]
+        whole = width == 1 and len(active) == len(stack)
+        members = stack if whole else stack[np.repeat(active, width)]
         verdicts = solve_lyapunov(members - np.array(shifts)[:, None, None] * ident,
                                   units[:len(shifts)])
         for j, i in enumerate(active):
