@@ -15,14 +15,15 @@ its accuracy falls as the spectral abscissa approaches 0, where X grows
 without bound. The verdict is therefore read from the limit sign(B), not
 from a Cholesky test of X, which rejects such an ill-conditioned X. X only
 has to pass a loose residual test that catches an iteration swamped by
-rounding (see `solve_lyapunov`).
+rounding (see `solve_lyapunov_stack`).
 
 The spectral abscissa (max real part of the eigenvalues) is found by
 bisecting on the shift s, using the fact that B - s I is stable exactly
 when s exceeds the abscissa; Gershgorin row bounds bracket the search.
 Principal-submatrix screening bisects all submatrices of one size
-together, each with its own bracket. A small stack, such as one matrix at
-p <= 10, also tests both possible next midpoints in each solve.
+together, each with its own bracket, in chunks that bound memory. Stacks
+of at most 256 floats, such as one matrix up to p=16, take two bisection
+steps per solve.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
 tolerance band: exact imaginary-axis eigenvalues are not decidable in
@@ -44,10 +45,9 @@ from .errors import DimensionError, NotPositiveDefiniteError, TooLargeError
 DEFAULT_TOL = 1e-9
 DEFAULT_SUBSET_BUDGET = 2**14
 _SIGN_MAX_ITER = 100  # far above the ~10-40 steps a decidable input needs
-_SWAMPED_SCORE = 1e4  # scaled residual of a swamped solve; see solve_lyapunov
+_SWAMPED_SCORE = 1e4  # scaled residual of a swamped solve; see solve_lyapunov_stack
 _STACK_FLOATS = 2**20  # floats per stacked array in a screen, which bounds its memory
-_SPECULATE_FLOATS = 100  # stacks up to this size bisect two steps per solve
-_Solution = tuple[bool, "np.ndarray | None"]
+_SPECULATE_FLOATS = 256  # stacks up to this size bisect two steps per solve
 
 
 class Classification(str, Enum):
@@ -82,8 +82,8 @@ class SubmatrixScreen:
 
 
 @np.errstate(all="ignore")  # overflow and singular iterates are verdicts here
-def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
-    """Decide stability of B and solve B X + X B^T + Q = 0, in O(p^3) per step.
+def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray) -> list[tuple[bool, np.ndarray | None]]:
+    """Decide stability of each B and solve B X + X B^T + Q = 0, in O(p^3) per step.
 
     Coupled sign iteration with determinantal scaling c = |det B_k|^(-1/p):
 
@@ -105,15 +105,12 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
     ones score about 1e-15 away from the axis, and stayed below 5 in
     sweeps down to 1e-11 from it, where X has lost most of its accuracy.
 
-    For p x p B and Q, returns (True, X) with X = lim Q_k / 2 symmetrized,
-    or (False, None). For (m, p, p) stacks it returns that pair for each
-    member. The members iterate in lockstep through numpy's stacked `inv`
-    and `slogdet`, and each leaves the stack when it finishes. A member
-    gets the same floating-point operations, so the same bits, as alone.
+    Takes (m, p, p) stacks of B and Q, and returns for each member
+    (True, X) with X = lim Q_k / 2 symmetrized, or (False, None). The
+    members iterate in lockstep through numpy's stacked `inv` and
+    `slogdet`, and each leaves the stack when it finishes. A member gets
+    the same floating-point operations, so the same bits, as alone.
     """
-    single = b.ndim == 2
-    if single:
-        b, q = b[None], q[None]
     m, n = b.shape[:2]
     # Dividing B and Q by the power of two 2^(e-1) <= max|B| < 2^e leaves X
     # unchanged and starts the iteration near unit scale, so tiny or huge B
@@ -131,12 +128,11 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
             inv = np.array([_inverse_or_nan(ai) for ai in a])
         scaling, c = 0 in phase, 1.0
         if scaling:
-            # x / -n has the bits of -(x / n), with one operation fewer.
-            c = np.exp(np.linalg.slogdet(a)[1] / -n)
-            if any(phase):
-                c[[k > 0 for k in phase]] = 1.0
-            # A scalar is cheaper to broadcast, and gives the same bits.
-            c = c[:, None, None] if len(c) > 1 else c[0]
+            c = np.exp(-np.linalg.slogdet(a)[1] / n)
+            if any(phase):  # members past scaling keep c = 1
+                c[np.array(phase) > 0] = 1.0
+            # A stack of one takes c as a scalar, which is cheaper to broadcast.
+            c = c[:, None, None] if m > 1 else c[0]
         inv_c = inv / c
         a_next = 0.5 * (c * a + inv_c)
         x = 0.5 * (c * x + inv_c @ x @ inv.transpose(0, 2, 1))
@@ -156,7 +152,7 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
                 phase[i] = 1
         if done:
             finished = [members[i] for i in done]
-            if len(done) == m:  # every member at once, as always when m = 1
+            if len(done) == m:  # no copies when every member finishes at once
                 ok, xs = _checked(b, q, a, x)
             else:
                 ok, xs = _checked(b[finished], q[finished], a[done], x[done])
@@ -171,7 +167,12 @@ def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> _Solution | list[_Solution]:
             members = [members[i] for i in stay]
             phase = [phase[i] for i in stay]
     # Members left in the stack hit the cap: eigenvalues on the axis.
-    return results[0] if single else results
+    return results
+
+
+def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """`solve_lyapunov_stack` for one p x p B and Q: (True, X) or (False, None)."""
+    return solve_lyapunov_stack(b[None], q[None])[0]
 
 
 def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
@@ -185,15 +186,14 @@ def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
 def _checked(b, q, a, x) -> tuple[np.ndarray, np.ndarray]:
     """Trace, finiteness and residual tests of finished members, and their X."""
     ok = a.trace(axis1=1, axis2=2) < 1 - b.shape[-1]
-    if not ok.any():  # skip the residual test when every limit is wrong
+    if not ok.any():  # the residual test is for limits that read -I
         return ok, x
     x = 0.25 * (x + x.transpose(0, 2, 1))
     bx = b @ x  # X is symmetric, so X B^T = (B X)^T
     d = np.sqrt(2.0 * (np.abs(b) * np.abs(x)).sum(axis=2) + np.abs(q.diagonal(axis1=1, axis2=2)))
     residual = np.abs(bx + bx.transpose(0, 2, 1) + q)
     bound = _SWAMPED_SCORE * (d[:, :, None] * d[:, None, :])
-    ok &= (np.isfinite(x) & (residual <= bound)).all(axis=(1, 2))
-    return ok, x
+    return ok & (np.isfinite(x) & (residual <= bound)).all(axis=(1, 2)), x
 
 
 def _square(b, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -229,6 +229,8 @@ def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
     A stack of at most _SPECULATE_FLOATS floats costs call overhead more
     than flops, so each solve also tests both possible next midpoints and
     takes two bisection steps: the shifts, so the verdicts, are unchanged.
+    In a sweep of stack shapes (BENCH_0.json, threshold_sweep) this won up
+    to 288 floats and stopped paying between 400 and 576.
     """
     lo, hi = gershgorin_real_bounds(stack)
     hi = [h + 1.0 for h in hi]  # strictly above the abscissa, so B - hi I is stable
@@ -246,10 +248,11 @@ def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
         for i in active:
             mid = 0.5 * lo[i] + 0.5 * hi[i]
             shifts += [mid, 0.5 * lo[i] + 0.5 * mid, 0.5 * mid + 0.5 * hi[i]][:width]
+        # Skip the copy while every member bisects one step at a time.
         whole = width == 1 and len(active) == len(stack)
         members = stack if whole else stack[np.repeat(active, width)]
-        verdicts = solve_lyapunov(members - np.array(shifts)[:, None, None] * ident,
-                                  units[:len(shifts)])
+        verdicts = solve_lyapunov_stack(members - np.array(shifts)[:, None, None] * ident,
+                                        units[:len(shifts)])
         for j, i in enumerate(active):
             ok = verdicts[width * j][0]
             (hi if ok else lo)[i] = shifts[width * j]
@@ -275,7 +278,7 @@ def _classified(stack: np.ndarray, tol: float) -> list[StabilityReport]:
     certificates = [None] * len(abscissae)
     if stable:
         units = np.broadcast_to(np.eye(stack.shape[1]), (len(stable),) + stack.shape[1:])
-        for i, (_, x) in zip(stable, solve_lyapunov(stack[stable], units)):
+        for i, (_, x) in zip(stable, solve_lyapunov_stack(stack[stable], units)):
             certificates[i] = x
     return [StabilityReport(
         Classification.STABLE if s < -tol

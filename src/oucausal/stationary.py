@@ -125,7 +125,7 @@ def stationary_distribution(model: OuModel) -> GaussianLaw:
     else:
         # One stacked solve decides stability (Q = I) and gives the
         # covariance (Q = sigma sigma^T): the B iterates do not depend on Q.
-        (stable, _), (solved, g) = stability.solve_lyapunov(
+        (stable, _), (solved, g) = stability.solve_lyapunov_stack(
             np.stack([model.B, model.B]),
             np.stack([np.eye(model.p), model.sigma @ model.sigma.T]))
         if not stable:

@@ -1,14 +1,18 @@
 """The stacked (lockstep) sign solver and screen against the serial path.
 
-Every stacked result must equal, bit for bit, what the same function gives
-for one member alone; the serial references are kept here. numpy eigvals is
-the independent oracle for the abscissae.
+Every stacked result must equal, bit for bit, what the serial solver and
+bisection give for one matrix alone. That serial path is kept here, as
+`_reference_solve` and `_reference_abscissa`, so the stacked kernel and its
+stack-of-one case are both pinned to it. numpy eigvals is the independent
+oracle for the abscissae.
 """
 
 import csv
 import io
 import itertools
 import json
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,10 +20,76 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import eig
 
-from oucausal import (
-    OuModel, cli, classify, is_stable, matkit, stability, stationary_distribution,
+from oucausal import OuModel, cli, classify, matkit, stability, stationary_distribution
+from oucausal.stability import (
+    screen_principal_submatrices, solve_lyapunov, solve_lyapunov_stack, spectral_abscissa,
 )
-from oucausal.stability import screen_principal_submatrices, solve_lyapunov, spectral_abscissa
+
+# ----------------------------------------------------------- serial reference
+
+
+@np.errstate(all="ignore")
+def _reference_solve(b, q):
+    """The serial sign-iteration Lyapunov solver for one p x p B and Q, as it
+    was before the stacked kernel: every check returns as soon as it fails."""
+    n = b.shape[0]
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(b), initial=0.0)))[1] - 1)
+    a, x = b / unit, q / unit
+    scaled, unscaled_steps = True, 0
+    for _ in range(100):
+        try:
+            inv = np.linalg.inv(a)
+            c = np.exp(-np.linalg.slogdet(a)[1] / n) if scaled else 1.0
+        except np.linalg.LinAlgError:
+            return False, None
+        inv_c = inv / c
+        a_next = 0.5 * (c * a + inv_c)
+        x = 0.5 * (c * x + inv_c @ x @ inv.T)
+        size = float(np.abs(a_next).sum())
+        if not np.isfinite(size):
+            return False, None
+        if not scaled:
+            unscaled_steps += 1
+        elif float(np.abs(a_next - a).sum()) <= 1e-3 * size:
+            scaled = False
+        a = a_next
+        if unscaled_steps == 2:
+            break
+    else:
+        return False, None
+    if not np.trace(a) < 1 - n:
+        return False, None
+    x = 0.25 * (x + x.T)
+    bx = b @ x
+    d = np.sqrt(2.0 * np.sum(np.abs(b) * np.abs(x), axis=1) + np.abs(np.diag(q)))
+    residual = np.abs(bx + bx.T + q)
+    if not (np.all(np.isfinite(x)) and np.all(residual <= 1e4 * np.outer(d, d))):
+        return False, None
+    return True, x
+
+
+def _reference_abscissa(b, tol=stability.DEFAULT_TOL):
+    """Plain bisection of the Gershgorin bracket, one serial solve per step."""
+    d = np.diag(b)
+    radii = np.sum(np.abs(b), axis=1) - np.abs(d)
+    lo, hi = float(np.min(d - radii)), float(np.max(d + radii)) + 1.0
+    steps = 0
+    while hi - lo > tol and steps < 200:
+        mid = 0.5 * lo + 0.5 * hi
+        if _reference_solve(b - mid * np.eye(b.shape[0]), np.eye(b.shape[0]))[0]:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return 0.5 * lo + 0.5 * hi
+
+
+def _same_solution(left, right):
+    assert left[0] == right[0]
+    if left[0]:
+        assert np.array_equal(left[1], right[1])
+    else:
+        assert left[1] is None and right[1] is None
 
 # -------------------------------------------------------------------- models
 
@@ -50,18 +120,29 @@ def _dense9():
     return rng.standard_normal((9, 9)) / 3.0 - 0.4 * np.eye(9)
 
 
-def _serial_csv(b):
-    """`stability --submatrices` built from one `classify` call per entry."""
+def _reference_report(sub, tol=stability.DEFAULT_TOL):
+    abscissa = _reference_abscissa(sub, tol)
+    kind = ("Stable" if abscissa < -tol else "Unstable" if abscissa > tol
+            else "SemistableNotStable")
+    return kind, abscissa
+
+
+def _classify_report(sub):
+    report = classify(sub)
+    return report.classification.value, report.spectral_abscissa
+
+
+def _serial_csv(b, report):
+    """`stability --submatrices` built from one `report(submatrix)` per entry."""
     p = b.shape[0]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["removed_set", "classification", "abscissa"])
     for k in range(p):
         for removed in itertools.combinations(range(1, p + 1), k):
-            report = classify(matkit.principal_submatrix(b, removed))
-            writer.writerow(["{" + ",".join(map(str, removed)) + "}",
-                             report.classification.value,
-                             repr(float(report.spectral_abscissa))])
+            kind, abscissa = report(matkit.principal_submatrix(b, removed))
+            writer.writerow(["{" + ",".join(map(str, removed)) + "}", kind,
+                             repr(float(abscissa))])
     return buffer.getvalue()
 
 
@@ -105,25 +186,21 @@ def test_stack_members_equal_their_single_solves():
                    [0.5, 0.0, 0.0, 0.0]]), np.eye(4)),                # of zero
         (rng.standard_normal((4, 4)) / 2.0 - 1.5 * np.eye(4), s @ s.T),  # stable
     ]
-    stacked = solve_lyapunov(np.stack([b for b, _ in members]),
-                             np.stack([q for _, q in members]))
+    stacked = solve_lyapunov_stack(np.stack([b for b, _ in members]),
+                                   np.stack([q for _, q in members]))
     assert [ok for ok, _ in stacked] == [False] * 5 + [True]
-    for (b, q), (ok, x) in zip(members, stacked):
-        alone = solve_lyapunov(b, q)
-        assert ok == alone[0]
-        if ok:
-            assert np.array_equal(x, alone[1])
-        else:
-            assert x is None and alone[1] is None
+    for (b, q), solution in zip(members, stacked):
+        _same_solution(solution, _reference_solve(b, q))
+        _same_solution(solve_lyapunov(b, q), _reference_solve(b, q))
 
 
-def test_stationary_covariance_equals_the_single_solve():
+def test_stationary_covariance_equals_serial_reference():
     rng = np.random.default_rng(11)
     b = rng.standard_normal((5, 5)) / np.sqrt(5) - 1.2 * np.eye(5)
     sigma = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
     law = stationary_distribution(OuModel(p=5, d=5, x0=np.zeros(5), A=np.ones(5),
                                           B=b, sigma=sigma))
-    ok, x = solve_lyapunov(b, sigma @ sigma.T)
+    ok, x = _reference_solve(b, sigma @ sigma.T)
     assert ok and np.array_equal(law.cov, x)
 
 
@@ -142,48 +219,58 @@ _stacks = st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
                       elements=st.floats(-3.0, 3.0, allow_nan=False, width=64)))
 
 
-def _serial_abscissa(b, tol=stability.DEFAULT_TOL):
-    """Plain bisection of the Gershgorin bracket, one `is_stable` per step."""
-    d = np.diag(b)
-    radii = np.sum(np.abs(b), axis=1) - np.abs(d)
-    lo, hi = float(np.min(d - radii)), float(np.max(d + radii)) + 1.0
-    steps = 0
-    while hi - lo > tol and steps < 200:
-        mid = 0.5 * lo + 0.5 * hi
-        if is_stable(b - mid * np.eye(b.shape[0]))[0]:
-            hi = mid
-        else:
-            lo = mid
-        steps += 1
-    return 0.5 * lo + 0.5 * hi
+@settings(max_examples=60, deadline=None)
+@given(stack=_stacks)
+def test_stacked_solves_equal_serial_reference(stack):
+    # Q = B B^T + I is symmetric; the verdicts and X must match bit for bit,
+    # in the stack and alone, whether B is stable or not.
+    q = stack @ stack.transpose(0, 2, 1) + np.eye(stack.shape[1])
+    for (b, qm), solution in zip(zip(stack, q), solve_lyapunov_stack(stack, q)):
+        _same_solution(solution, _reference_solve(b, qm))
+        _same_solution(solve_lyapunov(b, qm), _reference_solve(b, qm))
 
 
 @settings(max_examples=60, deadline=None)
 @given(stack=_stacks)
 def test_stacked_abscissae_equal_serial_and_eigvals(stack):
-    # Stacks of up to 100 floats take two bisection steps per solve; larger
-    # ones take one. Both must follow the plain bisection bit for bit.
+    # Both bisection schedules, two steps per solve (small stacks) and one
+    # step per solve, must follow the plain serial bisection bit for bit.
     tol = stability.DEFAULT_TOL
-    stacked = stability._abscissae(stack, tol)
-    assert stacked == [_serial_abscissa(b) for b in stack]
-    assert stacked == [spectral_abscissa(b, tol) for b in stack]
-    for b, abscissa in zip(stack, stacked):
+    serial = [_reference_abscissa(b) for b in stack]
+    for cutoff in (stability._SPECULATE_FLOATS, 0):
+        with mock.patch.object(stability, "_SPECULATE_FLOATS", cutoff):
+            assert stability._abscissae(stack, tol) == serial
+    assert [spectral_abscissa(b, tol) for b in stack] == serial
+    for b, abscissa in zip(stack, serial):
         if _well_conditioned(b):
             assert abs(abscissa - np.max(np.linalg.eigvals(b).real)) <= tol
+
+
+def test_members_leave_a_two_step_stack_at_different_solves():
+    # Gershgorin brackets 3.5, 84 and 2001 wide need different numbers of
+    # solves, so the stack shrinks between solves.
+    stack = np.array([[[-1.0, 0.5], [0.0, 1.0]], [[0.0, 40.0], [-40.0, -3.0]],
+                      [[-2.0, 1e3], [0.0, -1.0]]])
+    assert stack.size <= stability._SPECULATE_FLOATS
+    assert stability._abscissae(stack, stability.DEFAULT_TOL) == [
+        _reference_abscissa(b) for b in stack]
 
 
 def test_bisection_step_cap_matches_serial_reference():
     # A bracket near the float64 maximum needs over 1000 halvings to reach
     # tol, so both bisections stop at the 200-step cap.
     b = np.array([[-1e308, 0.0], [5e307, -1e308]])
-    assert spectral_abscissa(b) == _serial_abscissa(b)
+    assert spectral_abscissa(b) == _reference_abscissa(b)
 
 
 # ----------------------------------------------------------------- screening
 
 def test_submatrix_csv_equals_serial_reference(tmp_path, capsys):
     for b in (_dense_mixed7(), _two_scc6(), _bidiagonal7(), _dense9()):
-        assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b)
+        assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _reference_report)
+    # The per-entry `classify` loop (stacks of one) gives the same bytes.
+    b = _dense_mixed7()
+    assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _classify_report)
 
 
 def test_dense_mixed7_has_stable_and_unstable_entries():
