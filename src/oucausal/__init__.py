@@ -47,7 +47,6 @@ from .stationary import (
     StationarityVerdict,
     Verdict,
     controllability_rank,
-    gamma_by_quadrature,
     intervened_stationary_closed_form,
     stationary_distribution,
     stationary_exists,
@@ -78,7 +77,6 @@ __all__ = [
     "diagonal_lyapunov_certificate",
     "errors",
     "exact_transition",
-    "gamma_by_quadrature",
     "intervene_general",
     "intervene_ou",
     "intervene_seq",

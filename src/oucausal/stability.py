@@ -20,10 +20,16 @@ rounding (see `solve_lyapunov_stack`).
 The spectral abscissa (max real part of the eigenvalues) is found by
 bisecting on the shift s, using the fact that B - s I is stable exactly
 when s exceeds the abscissa; Gershgorin row bounds bracket the search.
-Principal-submatrix screening bisects all submatrices of one size
-together, each with its own bracket, in chunks that bound memory. Stacks
-of at most 256 floats, such as one matrix up to p=16, take two bisection
-steps per solve.
+Stacks of at most 256 floats, such as one matrix up to p=16, take two
+bisection steps per solve.
+
+Principal-submatrix screening factors B by the strongly connected
+components of its dependence graph, found from a boolean transitive
+closure: a principal submatrix's spectrum is the union of its blocks'
+spectra, one block per component, so only the subsets of each component
+are bisected, Sum 2^|C| blocks instead of 2^p submatrices. A 1x1 block's abscissa is its diagonal entry, so a
+triangular B needs no bisection. The blocks of one size are bisected
+together, each with its own bracket, in chunks that bound memory.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
 tolerance band: exact imaginary-axis eigenvalues are not decidable in
@@ -60,10 +66,11 @@ class Classification(str, Enum):
 class StabilityReport:
     """Three-way classification with the abscissa estimate and certificate.
 
-    `spectral_abscissa` is a bisection estimate accurate to `tol` (it is an
-    upper BOUND, not an estimate, for fast-path submatrix entries; see
-    `screen_principal_submatrices`). `certificate`, present iff Stable, is
-    the symmetric X with B X + X B^T = -I from `solve_lyapunov`.
+    `spectral_abscissa` is a bisection estimate accurate to `tol`. In a
+    submatrix screen it is the max of such estimates over the submatrix's
+    blocks, exact for 1x1 blocks, and for fast-path entries an upper BOUND
+    (see `screen_principal_submatrices`). `certificate`, present iff
+    Stable, is the symmetric X with B X + X B^T = -I from `solve_lyapunov`.
     """
 
     classification: Classification
@@ -115,8 +122,11 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray) -> list[tuple[bool, np.nd
     # Dividing B and Q by the power of two 2^(e-1) <= max|B| < 2^e leaves X
     # unchanged and starts the iteration near unit scale, so tiny or huge B
     # cannot overflow it (2^e itself overflows when max|B| >= 2^1023).
-    top = np.abs(b).max(axis=(1, 2), keepdims=True, initial=0.0)
-    unit = np.ldexp(0.5, np.frexp(top)[1])
+    if m == 1:  # a stack of one takes its scale factors as scalars
+        unit = math.ldexp(0.5, math.frexp(float(np.abs(b).max(initial=0.0)))[1])
+    else:
+        top = np.abs(b).max(axis=(1, 2), keepdims=True, initial=0.0)
+        unit = np.ldexp(0.5, np.frexp(top)[1])
     a, x = b / unit, q / unit
     members = list(range(m))  # stack position -> member
     phase = [0] * m  # 0 while scaling, then 1 + the unscaled steps taken
@@ -128,11 +138,14 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray) -> list[tuple[bool, np.nd
             inv = np.array([_inverse_or_nan(ai) for ai in a])
         scaling, c = 0 in phase, 1.0
         if scaling:
-            c = np.exp(-np.linalg.slogdet(a)[1] / n)
-            if any(phase):  # members past scaling keep c = 1
-                c[np.array(phase) > 0] = 1.0
-            # A stack of one takes c as a scalar, which is cheaper to broadcast.
-            c = c[:, None, None] if m > 1 else c[0]
+            logdet = np.linalg.slogdet(a)[1]
+            if m == 1:
+                c = np.exp(-logdet[0] / n)
+            else:
+                c = np.exp(-logdet / n)
+                if any(phase):  # members past scaling keep c = 1
+                    c[np.array(phase) > 0] = 1.0
+                c = c[:, None, None]
         inv_c = inv / c
         a_next = 0.5 * (c * a + inv_c)
         x = 0.5 * (c * x + inv_c @ x @ inv.transpose(0, 2, 1))
@@ -271,9 +284,9 @@ def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
     return _abscissae(_square(b, tol)[None], tol)[0]
 
 
-def _classified(stack: np.ndarray, tol: float) -> list[StabilityReport]:
-    """`classify` of each member of an (m, n, n) stack, in lockstep."""
-    abscissae = _abscissae(stack, tol)
+def _reports(stack: np.ndarray, abscissae: list[float], tol: float) -> list[StabilityReport]:
+    """Reports for the members of an (m, n, n) stack with known abscissae;
+    the Stable members get their certificates from one stacked solve."""
     stable = [i for i, s in enumerate(abscissae) if s < -tol]
     certificates = [None] * len(abscissae)
     if stable:
@@ -293,7 +306,60 @@ def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:
     Stable when the abscissa estimate is below -tol (with certificate),
     Unstable above +tol, and SemistableNotStable inside the band.
     """
-    return _classified(_square(b, tol)[None], tol)[0]
+    a = _square(b, tol)[None]
+    return _reports(a, _abscissae(a, tol), tol)[0]
+
+
+def _gathered(a: np.ndarray, rows: list[list[int]]):
+    """Stacks of the principal submatrices a[r, r] for index lists r of one
+    length, of at most _STACK_FLOATS floats each, which bounds memory."""
+    rows = np.array(rows)
+    chunk = max(1, _STACK_FLOATS // rows.shape[1] ** 2)
+    for start in range(0, len(rows), chunk):
+        r = rows[start:start + chunk]
+        yield a[r[:, :, None], r[:, None, :]]
+
+
+def _components(a: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the graph with an edge j -> i iff
+    b_ij != 0 (`dependence_graph` at tol 0), from its transitive closure."""
+    reach = (a != 0) | np.eye(len(a), dtype=bool)
+    while not np.array_equal(closer := reach @ reach, reach):
+        reach = closer
+    mutual = reach & reach.T
+    components, seen = [], set()
+    for i in range(len(a)):
+        if i not in seen:
+            components.append(np.flatnonzero(mutual[i]).tolist())
+            seen.update(components[-1])
+    return components
+
+
+def _screen_abscissae(a: np.ndarray, kept: list[list[int]], max_removed: int,
+                      tol: float) -> list[float]:
+    """Spectral abscissa of each principal submatrix a[k, k], k in `kept`, as
+    the max over its blocks, one per strongly connected component C. Each
+    subset of C that leaves out at most `max_removed` indices is bisected
+    once, all of one size in lockstep; a 1x1 block's abscissa is exact."""
+    components = _components(a)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for c in components:
+        for k in range(min(len(c) - 1, max_removed) + 1):
+            for drop in itertools.combinations(c, k):
+                block = tuple(i for i in c if i not in drop)
+                by_size.setdefault(len(block), []).append(block)
+    abscissa = {}
+    for n, blocks in by_size.items():
+        if n == 1:
+            abscissa.update((block, float(a[block[0], block[0]])) for block in blocks)
+            continue
+        values = [s for stack in _gathered(a, blocks) for s in _abscissae(stack, tol)]
+        abscissa.update(zip(blocks, values))
+    result = []
+    for keep in map(set, kept):
+        blocks = (tuple(i for i in c if i in keep) for c in components)
+        result.append(max(abscissa[block] for block in blocks if block))
+    return result
 
 
 def screen_principal_submatrices(
@@ -310,12 +376,13 @@ def screen_principal_submatrices(
     exceeds `budget`. Entries are ordered by removal-set size, then
     lexicographically, so output is deterministic.
 
-    The submatrices of one size are classified together: one fancy index
-    gathers them into a stack, which is bisected in lockstep, and the
-    Stable members get their certificates from one stacked solve. A size
-    class is cut into chunks of at most _STACK_FLOATS floats per stacked
-    array, which bounds memory at large p. Each entry equals `classify` of
-    its submatrix bit for bit.
+    Each entry's abscissa is the max over the blocks that the strongly
+    connected components of B's graph cut it into (see `_screen_abscissae`),
+    and its classification follows from that abscissa as in `classify`. An
+    entry with one block, as every entry of a dense B is, equals `classify`
+    of its submatrix bit for bit, except that a 1x1 submatrix's abscissa is
+    its exact diagonal entry. The Stable entries of one size get their
+    certificates for the whole submatrix from one stacked solve.
 
     Symmetric fast path: a symmetric stable matrix has only stable principal
     submatrices (eigenvalue interlacing), so when B is symmetric and stable
@@ -335,23 +402,23 @@ def screen_principal_submatrices(
             "restrict max_size_removed"
         )
 
-    base = classify(a, tol)
-    entries = [(frozenset(), base)]
-    fast = use_fast_path and matkit.is_symmetric(a) and base.classification is Classification.STABLE
-    bound = StabilityReport(Classification.STABLE, base.spectral_abscissa, tol, None)
-    for k in range(1, max_removed + 1):
-        removed = list(map(frozenset, itertools.combinations(range(1, p + 1), k)))
-        if fast:
-            entries.extend((rm, bound) for rm in removed)
-            continue
-        kept = np.array([[i for i in range(p) if i + 1 not in rm] for rm in removed])
-        chunk = max(1, _STACK_FLOATS // (p - k) ** 2)
-        for start in range(0, len(removed), chunk):
-            rows = kept[start:start + chunk]
-            reports = _classified(a[rows[:, :, None], rows[:, None, :]], tol)
-            entries.extend(zip(removed[start:start + chunk], reports))
+    removed = [frozenset(rm) for k in range(max_removed + 1)
+               for rm in itertools.combinations(range(1, p + 1), k)]
+    if use_fast_path and matkit.is_symmetric(a):
+        base = classify(a, tol)
+        if base.classification is Classification.STABLE:
+            bound = StabilityReport(Classification.STABLE, base.spectral_abscissa, tol, None)
+            entries = [(removed[0], base)] + [(rm, bound) for rm in removed[1:]]
+            return SubmatrixScreen(tuple(entries), True, fast_path=True)
+    kept = [[i for i in range(p) if i + 1 not in rm] for rm in removed]
+    abscissae = _screen_abscissae(a, kept, max_removed, tol)
+    reports = []
+    for _, rows in itertools.groupby(kept, len):
+        for stack in _gathered(a, list(rows)):
+            reports += _reports(stack, abscissae[len(reports):len(reports) + len(stack)], tol)
+    entries = tuple(zip(removed, reports))
     all_proper = all(rep.classification is Classification.STABLE for rm, rep in entries if rm)
-    return SubmatrixScreen(tuple(entries), all_proper, fast_path=fast)
+    return SubmatrixScreen(entries, all_proper)
 
 
 def verify_diagonal_certificate(b, diag) -> bool:

@@ -5,9 +5,9 @@ exists iff the mean reversion speed B is stable; it is then the normal law
 with mean A and covariance G solving sigma sigma^T + B G + G B^T = 0. The
 Lyapunov equation is solved by the O(p^3) sign-function iteration of
 `stability.solve_lyapunov`, the same one that decides stability. Its
-accuracy falls as the spectral abscissa of B approaches 0; the quadrature
-representation G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds gives an
-independent cross-check.
+accuracy falls as the spectral abscissa of B approaches 0; the test suite
+checks it against the quadrature representation
+G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds.
 
 When sigma lacks full column span, existence depends on a more involved
 criterion that is intentionally not decided here; the verdict is reported
@@ -139,45 +139,6 @@ def stationary_distribution(model: OuModel) -> GaussianLaw:
     if not solved:
         raise NonFiniteError("the stationary covariance overflows float64")
     return GaussianLaw(model.A.copy(), g)
-
-
-def gamma_by_quadrature(model: OuModel, t_end: float | None = None,
-                        n: int = 2000) -> np.ndarray:
-    """Composite-Simpson approximation of the covariance integral.
-
-    Integrates e^{sB} sigma sigma^T e^{sB^T} over [0, t_end] on a uniform
-    grid (n panels, rounded up to an even count). Default t_end is
-    40/|spectral abscissa of B|, where the integrand has decayed to about
-    e^-80 of its initial size. Serves as an independent oracle for
-    `stationary_distribution`. Raises NoStationaryDistributionError when B
-    is not stable.
-    """
-    b_stable, _ = stability.is_stable(model.B)
-    if not b_stable:
-        raise NoStationaryDistributionError("B is not stable")
-    if t_end is None:
-        t_end = 40.0 / abs(stability.spectral_abscissa(model.B))
-    if t_end <= 0:
-        raise PreconditionError("t_end must be positive")
-    if n < 2:
-        raise PreconditionError("n must be >= 2")
-    panels = n + (n % 2)
-    h = t_end / panels
-    step = matkit.expm(h * model.B)
-    s = model.sigma @ model.sigma.T
-    acc = s.copy()                      # integrand at s = 0
-    e = np.eye(model.p)
-    for k in range(1, panels + 1):
-        e = e @ step
-        g = e @ s @ e.T
-        if k == panels:
-            weight = 1.0
-        elif k % 2 == 1:
-            weight = 4.0
-        else:
-            weight = 2.0
-        acc += weight * g
-    return (h / 3.0) * acc
 
 
 _CLOSED_FORM_TARGETS = ("X2", "X3")

@@ -27,7 +27,7 @@ from oucausal import (
     uniform_grid,
 )
 from oucausal import matkit
-from util import random_triangular
+from util import gamma_by_quadrature, random_triangular
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])
 
@@ -121,7 +121,6 @@ def test_criterion_03_closed_form_pipeline():
 
 
 def test_criterion_04_lyapunov_vs_quadrature():
-    from oucausal import gamma_by_quadrature
     with _Criterion("4 Lyapunov solve vs Simpson quadrature", 30.0):
         rng = np.random.default_rng(42)
         worst = 0.0

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import eig
+from scipy.sparse.csgraph import connected_components
 
 from oucausal import OuModel, cli, classify, matkit, stability, stationary_distribution
 from oucausal.stability import (
@@ -120,27 +121,39 @@ def _dense9():
     return rng.standard_normal((9, 9)) / 3.0 - 0.4 * np.eye(9)
 
 
-def _reference_report(sub, tol=stability.DEFAULT_TOL):
-    abscissa = _reference_abscissa(sub, tol)
-    kind = ("Stable" if abscissa < -tol else "Unstable" if abscissa > tol
+def _per_block_report(b, removed, abscissa, tol=stability.DEFAULT_TOL):
+    """Classification and abscissa of the submatrix that leaves out `removed`,
+    as the max over the blocks that B's strongly connected components (from
+    scipy) cut it into. A 1x1 block's abscissa is its diagonal entry; a larger
+    block's is `abscissa(block)`."""
+    count, labels = connected_components(b != 0, directed=True, connection="strong")
+    keep = [i for i in range(b.shape[0]) if i + 1 not in removed]
+    blocks = [block for block in ([i for i in keep if labels[i] == c] for c in range(count))
+              if block]
+    value = max(float(b[block[0], block[0]]) if len(block) == 1
+                else abscissa(b[np.ix_(block, block)]) for block in blocks)
+    kind = ("Stable" if value < -tol else "Unstable" if value > tol
             else "SemistableNotStable")
-    return kind, abscissa
+    return kind, value
 
 
-def _classify_report(sub):
-    report = classify(sub)
-    return report.classification.value, report.spectral_abscissa
+def _reference_report(b, removed):
+    return _per_block_report(b, removed, _reference_abscissa)
+
+
+def _classify_report(b, removed):
+    return _per_block_report(b, removed, lambda block: classify(block).spectral_abscissa)
 
 
 def _serial_csv(b, report):
-    """`stability --submatrices` built from one `report(submatrix)` per entry."""
+    """`stability --submatrices` built from one `report(b, removed)` per entry."""
     p = b.shape[0]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["removed_set", "classification", "abscissa"])
     for k in range(p):
         for removed in itertools.combinations(range(1, p + 1), k):
-            kind, abscissa = report(matkit.principal_submatrix(b, removed))
+            kind, abscissa = report(b, removed)
             writer.writerow(["{" + ",".join(map(str, removed)) + "}", kind,
                              repr(float(abscissa))])
     return buffer.getvalue()
@@ -266,11 +279,60 @@ def test_bisection_step_cap_matches_serial_reference():
 # ----------------------------------------------------------------- screening
 
 def test_submatrix_csv_equals_serial_reference(tmp_path, capsys):
+    # Each entry is the max over its blocks, one per strongly connected
+    # component, of the serial bisection, and exact on 1x1 blocks. Dense
+    # models are one component, so only their 1x1 rows are not bisected.
     for b in (_dense_mixed7(), _two_scc6(), _bidiagonal7(), _dense9()):
         assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _reference_report)
     # The per-entry `classify` loop (stacks of one) gives the same bytes.
     b = _dense_mixed7()
     assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _classify_report)
+
+
+@st.composite
+def _permuted_block_triangular(draw):
+    """Block upper-triangular B with 1x1 to 3x3 diagonal blocks, conjugated
+    by a random permutation so that no component is contiguous."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    p = sum(sizes)
+    entries = st.floats(-3.0, 3.0, allow_nan=False, width=64)
+    b = draw(arrays(np.float64, (p, p), elements=entries))
+    start = np.cumsum([0] + sizes)
+    for row in range(p):
+        b[row, :start[np.searchsorted(start, row, side="right") - 1]] = 0.0
+    order = np.array(draw(st.permutations(range(p))))
+    return b[np.ix_(order, order)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=_permuted_block_triangular())
+def test_permuted_block_triangular_screen_matches_eigvals(b):
+    tol = stability.DEFAULT_TOL
+    for removed, report in screen_principal_submatrices(b, use_fast_path=False).entries:
+        sub = matkit.principal_submatrix(b, sorted(removed))
+        truth = float(np.max(np.linalg.eigvals(sub).real))
+        if _well_conditioned(sub):
+            assert abs(report.spectral_abscissa - truth) <= tol
+            if abs(truth) > 2 * tol:
+                expected = (stability.Classification.STABLE if truth < 0
+                            else stability.Classification.UNSTABLE)
+                assert report.classification is expected
+        assert (report.certificate is not None) <= (
+            report.classification is stability.Classification.STABLE)
+
+
+def test_dense_screen_bisects_one_member_per_removal_set(monkeypatch):
+    # p=12 with at most one index removed: the whole matrix and its twelve
+    # 11x11 submatrices, not every subset of the one component.
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal((12, 12)) / np.sqrt(12) - 0.5 * np.eye(12)
+    bisected = []
+    abscissae = stability._abscissae
+    monkeypatch.setattr(stability, "_abscissae",
+                        lambda stack, tol: bisected.append(len(stack)) or abscissae(stack, tol))
+    screen = screen_principal_submatrices(b, max_size_removed=1)
+    assert len(screen.entries) == 13
+    assert sum(bisected) <= 13
 
 
 def test_dense_mixed7_has_stable_and_unstable_entries():

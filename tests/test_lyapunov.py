@@ -25,6 +25,7 @@ from oucausal import (
     stationary_distribution,
     stationary_exists,
 )
+from oucausal import stability
 from oucausal.stability import solve_lyapunov
 
 TOL = 1e-9
@@ -103,9 +104,26 @@ def test_axis_and_unstable_spectra_are_not_stable(b):
      [-1.8787428836220494, 0.6520625586854116, 0.0]],
 ])
 def test_eigenvalue_within_rounding_of_zero_does_not_hide_instability(b):
-    # Rounding swamps the iteration here and its limit reads -I; the
-    # residual check has to reject X.
+    # The iterates are singular at working precision, yet the eigenvalue
+    # 2.22 (or +0.59) still shows in the limit: its trace is 2 - p, not -p,
+    # so the trace test rejects it. The residual check is pinned below.
     assert is_stable(b) == (False, None)
+
+
+def test_residual_check_rejects_a_swamped_solution_whose_limit_reads_minus_identity():
+    # Both limits read -I, so only the residual test tells the members apart.
+    # X = diag(1/2, 1/4, 1/8) solves B X + X B^T + I = 0; the swamped member
+    # adds 1e12 at (1, 3), which B, with no coupling between coordinates 1
+    # and 3, cannot explain: its residual there is 5e12 against a bound of 2e4.
+    b = np.diag([-1.0, -2.0, -4.0])
+    x = np.diag([0.5, 0.25, 0.125])
+    swamped = x.copy()
+    swamped[0, 2] = swamped[2, 0] = 1e12
+    # `_checked` takes the iterate Q_k, whose symmetrized half is X.
+    ok, xs = stability._checked(np.stack([b, b]), np.stack([np.eye(3)] * 2),
+                                np.stack([-np.eye(3)] * 2), 2.0 * np.stack([x, swamped]))
+    assert ok.tolist() == [True, False]
+    assert np.array_equal(xs[0], x)
 
 
 @pytest.mark.parametrize("im", [1.0, 10.0, 100.0])

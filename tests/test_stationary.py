@@ -7,7 +7,6 @@ from oucausal import (
     OuModel,
     Verdict,
     controllability_rank,
-    gamma_by_quadrature,
     intervene_ou,
     intervened_stationary_closed_form,
     spectral_abscissa,
@@ -20,7 +19,7 @@ from oucausal.errors import (
     NotPositiveDefiniteError,
     PreconditionError,
 )
-from util import demo_triangular, gershgorin_stable, random_triangular
+from util import demo_triangular, gamma_by_quadrature, gershgorin_stable, random_triangular
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])
 

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from oucausal import OuModel
+from oucausal import OuModel, matkit, stability
+from oucausal.errors import NoStationaryDistributionError, PreconditionError
 
 
 def demo_triangular(A=(1.0, 2.0, 3.0), diag=(-1.0, -2.0, -1.5),
@@ -38,3 +39,42 @@ def random_triangular(rng: np.random.Generator, coincident: bool = False) -> np.
     b[np.triu_indices(3, 1)] = rng.uniform(-2.0, 2.0, 3)
     b[np.arange(3), np.arange(3)] = diag
     return b
+
+
+def gamma_by_quadrature(model: OuModel, t_end: float | None = None,
+                        n: int = 2000) -> np.ndarray:
+    """Composite-Simpson approximation of the covariance integral.
+
+    Integrates e^{sB} sigma sigma^T e^{sB^T} over [0, t_end] on a uniform
+    grid (n panels, rounded up to an even count). Default t_end is
+    40/|spectral abscissa of B|, where the integrand has decayed to about
+    e^-80 of its initial size. The independent oracle for
+    `stationary_distribution`. Raises NoStationaryDistributionError when B
+    is not stable.
+    """
+    b_stable, _ = stability.is_stable(model.B)
+    if not b_stable:
+        raise NoStationaryDistributionError("B is not stable")
+    if t_end is None:
+        t_end = 40.0 / abs(stability.spectral_abscissa(model.B))
+    if t_end <= 0:
+        raise PreconditionError("t_end must be positive")
+    if n < 2:
+        raise PreconditionError("n must be >= 2")
+    panels = n + (n % 2)
+    h = t_end / panels
+    step = matkit.expm(h * model.B)
+    s = model.sigma @ model.sigma.T
+    acc = s.copy()                      # integrand at s = 0
+    e = np.eye(model.p)
+    for k in range(1, panels + 1):
+        e = e @ step
+        g = e @ s @ e.T
+        if k == panels:
+            weight = 1.0
+        elif k % 2 == 1:
+            weight = 4.0
+        else:
+            weight = 2.0
+        acc += weight * g
+    return (h / 3.0) * acc
