@@ -27,9 +27,10 @@ Principal-submatrix screening factors B by the strongly connected
 components of its dependence graph, found from a boolean transitive
 closure: a principal submatrix's spectrum is the union of its blocks'
 spectra, one block per component, so only the subsets of each component
-are bisected, Sum 2^|C| blocks instead of 2^p submatrices. A 1x1 block's abscissa is its diagonal entry, so a
-triangular B needs no bisection. The blocks of one size are bisected
-together, each with its own bracket, in chunks that bound memory.
+are bisected, Sum 2^|C| blocks instead of 2^p submatrices. A 1x1 block's
+abscissa is its diagonal entry, so a triangular B needs no bisection. The
+blocks of one size are bisected together, each with its own bracket, in
+chunks that bound memory.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
 tolerance band: exact imaginary-axis eigenvalues are not decidable in
@@ -336,19 +337,21 @@ def _components(a: np.ndarray) -> list[list[int]]:
 
 
 def _screen_abscissae(a: np.ndarray, kept: list[list[int]], max_removed: int,
-                      tol: float) -> list[float]:
+                      tol: float, known: dict) -> list[float]:
     """Spectral abscissa of each principal submatrix a[k, k], k in `kept`, as
     the max over its blocks, one per strongly connected component C. Each
     subset of C that leaves out at most `max_removed` indices is bisected
-    once, all of one size in lockstep; a 1x1 block's abscissa is exact."""
+    once, all of one size in lockstep, unless `known` maps it to its
+    abscissa; a 1x1 block's abscissa is exact."""
     components = _components(a)
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for c in components:
         for k in range(min(len(c) - 1, max_removed) + 1):
             for drop in itertools.combinations(c, k):
                 block = tuple(i for i in c if i not in drop)
-                by_size.setdefault(len(block), []).append(block)
-    abscissa = {}
+                if block not in known:
+                    by_size.setdefault(len(block), []).append(block)
+    abscissa = dict(known)
     for n, blocks in by_size.items():
         if n == 1:
             abscissa.update((block, float(a[block[0], block[0]])) for block in blocks)
@@ -404,14 +407,16 @@ def screen_principal_submatrices(
 
     removed = [frozenset(rm) for k in range(max_removed + 1)
                for rm in itertools.combinations(range(1, p + 1), k)]
+    known = {}  # the whole B, when the fast path has bisected it and declined
     if use_fast_path and matkit.is_symmetric(a):
         base = classify(a, tol)
         if base.classification is Classification.STABLE:
             bound = StabilityReport(Classification.STABLE, base.spectral_abscissa, tol, None)
             entries = [(removed[0], base)] + [(rm, bound) for rm in removed[1:]]
             return SubmatrixScreen(tuple(entries), True, fast_path=True)
+        known[tuple(range(p))] = base.spectral_abscissa
     kept = [[i for i in range(p) if i + 1 not in rm] for rm in removed]
-    abscissae = _screen_abscissae(a, kept, max_removed, tol)
+    abscissae = _screen_abscissae(a, kept, max_removed, tol, known)
     reports = []
     for _, rows in itertools.groupby(kept, len):
         for stack in _gathered(a, list(rows)):

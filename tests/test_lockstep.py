@@ -15,6 +15,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -321,17 +322,22 @@ def test_permuted_block_triangular_screen_matches_eigvals(b):
             report.classification is stability.Classification.STABLE)
 
 
-def test_dense_screen_bisects_one_member_per_removal_set(monkeypatch):
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_dense_screen_bisects_one_member_per_removal_set(monkeypatch, symmetric):
     # p=12 with at most one index removed: the whole matrix and its twelve
-    # 11x11 submatrices, not every subset of the one component.
+    # 11x11 submatrices, not every subset of the one component. A symmetric
+    # unstable B declines the fast path after bisecting the whole matrix,
+    # which the screen then reuses.
     rng = np.random.default_rng(12)
     b = rng.standard_normal((12, 12)) / np.sqrt(12) - 0.5 * np.eye(12)
+    if symmetric:
+        b = 0.5 * (b + b.T)
     bisected = []
     abscissae = stability._abscissae
     monkeypatch.setattr(stability, "_abscissae",
                         lambda stack, tol: bisected.append(len(stack)) or abscissae(stack, tol))
     screen = screen_principal_submatrices(b, max_size_removed=1)
-    assert len(screen.entries) == 13
+    assert len(screen.entries) == 13 and not screen.fast_path
     assert sum(bisected) <= 13
 
 
