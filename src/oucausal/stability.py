@@ -414,7 +414,8 @@ def screen_principal_submatrices(
             bound = StabilityReport(Classification.STABLE, base.spectral_abscissa, tol, None)
             entries = [(removed[0], base)] + [(rm, bound) for rm in removed[1:]]
             return SubmatrixScreen(tuple(entries), True, fast_path=True)
-        known[tuple(range(p))] = base.spectral_abscissa
+        if p > 1:  # a 1x1 B's abscissa is its exact diagonal entry
+            known[tuple(range(p))] = base.spectral_abscissa
     kept = [[i for i in range(p) if i + 1 not in rm] for rm in removed]
     abscissae = _screen_abscissae(a, kept, max_removed, tol, known)
     reports = []

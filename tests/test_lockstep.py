@@ -1,10 +1,11 @@
 """The stacked (lockstep) sign solver and screen against the serial path.
 
 Every stacked result must equal, bit for bit, what the serial solver and
-bisection give for one matrix alone. That serial path is kept here, as
-`_reference_solve` and `_reference_abscissa`, so the stacked kernel and its
-stack-of-one case are both pinned to it. numpy eigvals is the independent
-oracle for the abscissae.
+bisection give for one matrix alone; a screen entry, what they give for
+each of its blocks, one per strongly connected component of B. That serial
+path is kept here, as `_reference_solve` and `_reference_abscissa`, so the
+stacked kernel and its stack-of-one case are both pinned to it. numpy
+eigvals is the independent oracle for the abscissae.
 """
 
 import csv
@@ -285,7 +286,7 @@ def test_submatrix_csv_equals_serial_reference(tmp_path, capsys):
     # models are one component, so only their 1x1 rows are not bisected.
     for b in (_dense_mixed7(), _two_scc6(), _bidiagonal7(), _dense9()):
         assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _reference_report)
-    # The per-entry `classify` loop (stacks of one) gives the same bytes.
+    # A per-block `classify` loop (stacks of one) gives the same bytes.
     b = _dense_mixed7()
     assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _classify_report)
 
@@ -293,7 +294,7 @@ def test_submatrix_csv_equals_serial_reference(tmp_path, capsys):
 @st.composite
 def _permuted_block_triangular(draw):
     """Block upper-triangular B with 1x1 to 3x3 diagonal blocks, conjugated
-    by a random permutation so that no component is contiguous."""
+    by a random permutation, so that the components need not be contiguous."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     p = sum(sizes)
     entries = st.floats(-3.0, 3.0, allow_nan=False, width=64)
@@ -349,7 +350,7 @@ def test_dense_mixed7_has_stable_and_unstable_entries():
 
 
 def test_chunked_screen_equals_unchunked(monkeypatch):
-    for b in (_dense_mixed7(), _bidiagonal7()):
+    for b in (_dense_mixed7(), _two_scc6(), _bidiagonal7()):
         whole = screen_principal_submatrices(b)
         # 60 floats hold one 7x7 or 6x6 member, two 5x5, three 4x4, ...
         monkeypatch.setattr(stability, "_STACK_FLOATS", 60)
