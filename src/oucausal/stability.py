@@ -70,8 +70,13 @@ class StabilityReport:
     `spectral_abscissa` is a bisection estimate accurate to `tol`. In a
     submatrix screen it is the max of such estimates over the submatrix's
     blocks, exact for 1x1 blocks, and for fast-path entries an upper BOUND
-    (see `screen_principal_submatrices`). `certificate`, present iff
-    Stable, is the symmetric X with B X + X B^T = -I from `solve_lyapunov`.
+    (see `screen_principal_submatrices`). `certificate` is the symmetric X
+    with B X + X B^T = -I from `solve_lyapunov`, present iff the report is
+    Stable and that solve succeeds. The solve fails only for a strongly
+    non-normal matrix, whose X overflows or is swamped by rounding; the
+    bisection in `classify` runs the same solver, so such a matrix usually
+    reads Unstable there. A screen's verdict comes from its blocks, so a
+    screen's Stable entry may lack a certificate.
     """
 
     classification: Classification
@@ -123,11 +128,8 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray) -> list[tuple[bool, np.nd
     # Dividing B and Q by the power of two 2^(e-1) <= max|B| < 2^e leaves X
     # unchanged and starts the iteration near unit scale, so tiny or huge B
     # cannot overflow it (2^e itself overflows when max|B| >= 2^1023).
-    if m == 1:  # a stack of one takes its scale factors as scalars
-        unit = math.ldexp(0.5, math.frexp(float(np.abs(b).max(initial=0.0)))[1])
-    else:
-        top = np.abs(b).max(axis=(1, 2), keepdims=True, initial=0.0)
-        unit = np.ldexp(0.5, np.frexp(top)[1])
+    top = np.abs(b).max(axis=(1, 2), keepdims=True, initial=0.0)
+    unit = np.ldexp(0.5, np.frexp(top)[1])
     a, x = b / unit, q / unit
     members = list(range(m))  # stack position -> member
     phase = [0] * m  # 0 while scaling, then 1 + the unscaled steps taken
@@ -139,14 +141,11 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray) -> list[tuple[bool, np.nd
             inv = np.array([_inverse_or_nan(ai) for ai in a])
         scaling, c = 0 in phase, 1.0
         if scaling:
-            logdet = np.linalg.slogdet(a)[1]
-            if m == 1:
-                c = np.exp(-logdet[0] / n)
-            else:
-                c = np.exp(-logdet / n)
-                if any(phase):  # members past scaling keep c = 1
-                    c[np.array(phase) > 0] = 1.0
-                c = c[:, None, None]
+            c = np.exp(-np.linalg.slogdet(a)[1] / n)
+            if any(phase):  # members past scaling keep c = 1
+                c[np.array(phase) > 0] = 1.0
+            # A stack of one takes c as a scalar, which is cheaper to broadcast.
+            c = c[:, None, None] if m > 1 else c[0]
         inv_c = inv / c
         a_next = 0.5 * (c * a + inv_c)
         x = 0.5 * (c * x + inv_c @ x @ inv.transpose(0, 2, 1))
@@ -337,21 +336,18 @@ def _components(a: np.ndarray) -> list[list[int]]:
 
 
 def _screen_abscissae(a: np.ndarray, kept: list[list[int]], max_removed: int,
-                      tol: float, known: dict) -> list[float]:
+                      tol: float) -> list[float]:
     """Spectral abscissa of each principal submatrix a[k, k], k in `kept`, as
     the max over its blocks, one per strongly connected component C. Each
     subset of C that leaves out at most `max_removed` indices is bisected
-    once, all of one size in lockstep, unless `known` maps it to its
-    abscissa; a 1x1 block's abscissa is exact."""
+    once, all of one size in lockstep; a 1x1 block's abscissa is exact."""
     components = _components(a)
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for c in components:
         for k in range(min(len(c) - 1, max_removed) + 1):
             for drop in itertools.combinations(c, k):
-                block = tuple(i for i in c if i not in drop)
-                if block not in known:
-                    by_size.setdefault(len(block), []).append(block)
-    abscissa = dict(known)
+                by_size.setdefault(len(c) - k, []).append(tuple(i for i in c if i not in drop))
+    abscissa = {}
     for n, blocks in by_size.items():
         if n == 1:
             abscissa.update((block, float(a[block[0], block[0]])) for block in blocks)
@@ -385,7 +381,9 @@ def screen_principal_submatrices(
     entry with one block, as every entry of a dense B is, equals `classify`
     of its submatrix bit for bit, except that a 1x1 submatrix's abscissa is
     its exact diagonal entry. The Stable entries of one size get their
-    certificates for the whole submatrix from one stacked solve.
+    certificates for the whole submatrix from one stacked solve, which
+    does not change their verdict: where it fails, as for a triangular B
+    with a huge off-diagonal entry, the entry is Stable without certificate.
 
     Symmetric fast path: a symmetric stable matrix has only stable principal
     submatrices (eigenvalue interlacing), so when B is symmetric and stable
@@ -407,17 +405,15 @@ def screen_principal_submatrices(
 
     removed = [frozenset(rm) for k in range(max_removed + 1)
                for rm in itertools.combinations(range(1, p + 1), k)]
-    known = {}  # the whole B, when the fast path has bisected it and declined
-    if use_fast_path and matkit.is_symmetric(a):
+    # One solve decides whether the fast path can apply; only then is B bisected.
+    if use_fast_path and matkit.is_symmetric(a) and is_stable(a)[0]:
         base = classify(a, tol)
         if base.classification is Classification.STABLE:
             bound = StabilityReport(Classification.STABLE, base.spectral_abscissa, tol, None)
             entries = [(removed[0], base)] + [(rm, bound) for rm in removed[1:]]
             return SubmatrixScreen(tuple(entries), True, fast_path=True)
-        if p > 1:  # a 1x1 B's abscissa is its exact diagonal entry
-            known[tuple(range(p))] = base.spectral_abscissa
     kept = [[i for i in range(p) if i + 1 not in rm] for rm in removed]
-    abscissae = _screen_abscissae(a, kept, max_removed, tol, known)
+    abscissae = _screen_abscissae(a, kept, max_removed, tol)
     reports = []
     for _, rows in itertools.groupby(kept, len):
         for stack in _gathered(a, list(rows)):

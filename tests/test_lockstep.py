@@ -319,16 +319,33 @@ def test_permuted_block_triangular_screen_matches_eigvals(b):
                 expected = (stability.Classification.STABLE if truth < 0
                             else stability.Classification.UNSTABLE)
                 assert report.classification is expected
-        assert (report.certificate is not None) <= (
-            report.classification is stability.Classification.STABLE)
+        solved = solve_lyapunov(sub, np.eye(len(sub)))
+        assert (report.certificate is not None) == (
+            report.classification is stability.Classification.STABLE and solved[0])
+
+
+def test_stable_entry_keeps_its_verdict_when_the_certificate_solve_fails():
+    # Two 1x1 components, so the whole matrix's abscissa is exactly -1. Its
+    # X has an entry near 1e400, so the whole-matrix solve fails; the entry
+    # stays Stable without certificate, and the 1x1 entries keep theirs.
+    b = np.array([[-1.0, 1e200], [0.0, -1.0]])
+    assert solve_lyapunov(b, np.eye(2)) == (False, None)
+    entries = dict(screen_principal_submatrices(b).entries)
+    whole = entries[frozenset()]
+    assert whole.classification is stability.Classification.STABLE
+    assert whole.spectral_abscissa == -1.0 and whole.certificate is None
+    for removed in ({1}, {2}):
+        report = entries[frozenset(removed)]
+        assert report.classification is stability.Classification.STABLE
+        assert report.spectral_abscissa == -1.0
+        assert np.array_equal(report.certificate, [[0.5]])
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_dense_screen_bisects_one_member_per_removal_set(monkeypatch, symmetric):
     # p=12 with at most one index removed: the whole matrix and its twelve
     # 11x11 submatrices, not every subset of the one component. A symmetric
-    # unstable B declines the fast path after bisecting the whole matrix,
-    # which the screen then reuses.
+    # unstable B declines the fast path after one solve, without a bisection.
     rng = np.random.default_rng(12)
     b = rng.standard_normal((12, 12)) / np.sqrt(12) - 0.5 * np.eye(12)
     if symmetric:
