@@ -36,6 +36,12 @@ def default_labels(p: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(1, p + 1))
 
 
+def _check_coordinate(m: int, p: int, prefix: str = "") -> None:
+    """Raise BadCoordinateError unless 1 <= m <= p."""
+    if not 1 <= m <= p:
+        raise BadCoordinateError(f"{prefix}coordinate {m} outside 1..{p}")
+
+
 @dataclass(frozen=True)
 class OuModel:
     """Validated Ornstein-Uhlenbeck model (x0, A, B, sigma) with labels.
@@ -130,10 +136,7 @@ class InterventionRecord:
 
     def to_current(self, original_index: int) -> int:
         """Map an original 1-based index to its current position."""
-        if not 1 <= original_index <= len(self.original_labels):
-            raise BadCoordinateError(
-                f"coordinate {original_index} outside 1..{len(self.original_labels)}"
-            )
+        _check_coordinate(original_index, len(self.original_labels))
         if self.is_fixed(original_index):
             raise DuplicateInterventionError(
                 f"coordinate {self.original_labels[original_index - 1]!r} "
@@ -143,10 +146,7 @@ class InterventionRecord:
 
     def to_original(self, current_index: int) -> int:
         """Map a current 1-based index back to the original coordinates."""
-        if not 1 <= current_index <= len(self.surviving):
-            raise BadCoordinateError(
-                f"coordinate {current_index} outside 1..{len(self.surviving)}"
-            )
+        _check_coordinate(current_index, len(self.surviving))
         return self.surviving[current_index - 1]
 
     def pin(self, current_index: int, value: float) -> "InterventionRecord":
@@ -194,8 +194,7 @@ def _reduce_once(
     """One pinning step on the model's current coordinates (m is 1-based)."""
     if model.p < 2:
         raise DimensionError("cannot pin a coordinate of a 1-dimensional model")
-    if not 1 <= m <= model.p:
-        raise BadCoordinateError(f"coordinate {m} outside 1..{model.p}")
+    _check_coordinate(m, model.p)
     keep = [i for i in range(model.p) if i != m - 1]
     b_red = model.B[np.ix_(keep, keep)]
     alpha = model.A[keep]
@@ -242,11 +241,7 @@ def intervene_seq(
     record = InterventionRecord.fresh(model.labels)
     current = model
     for stage, iv in enumerate(ivs, start=1):
-        if not 1 <= iv.m <= len(record.original_labels):
-            raise BadCoordinateError(
-                f"stage {stage}: coordinate {iv.m} outside "
-                f"1..{len(record.original_labels)}"
-            )
+        _check_coordinate(iv.m, len(record.original_labels), f"stage {stage}: ")
         m_now = record.to_current(iv.m)
         try:
             current, record = _reduce_once(current, m_now, iv.c, record)
@@ -304,8 +299,7 @@ def intervened_dependence_graph(
         ivs = [ivs]
     pinned = set()
     for iv in ivs:
-        if not 1 <= iv.m <= model.p:
-            raise BadCoordinateError(f"coordinate {iv.m} outside 1..{model.p}")
+        _check_coordinate(iv.m, model.p)
         if iv.m in pinned:
             raise DuplicateInterventionError(
                 f"coordinate {model.labels[iv.m - 1]!r} pinned twice"
@@ -325,17 +319,29 @@ def intervened_dependence_graph(
 class GeneralSde:
     """SDE dX = a(X-) dZ with a caller-supplied coefficient function.
 
-    `coef` maps a state vector of length p to a p x d matrix. The driver Z
-    has d components; for simulation Z is specialized to (t, W), i.e. the
-    first component is time and the remaining d-1 are independent Brownian
-    motions. The coefficient must be total on R^p and Lipschitz; neither is
-    checked. The callable is invoked from the thread that owns the object.
+    The driver Z has d components; for simulation Z is specialized to
+    (t, W), i.e. the first component is time and the remaining d-1 are
+    independent Brownian motions. The coefficient is given in either form:
+
+    coef       : a state vector of length p -> a p x d matrix;
+    batch_coef : an (n, p) stack of states -> an (n, p, d) stack of
+                 coefficients, row i of the input giving slice i.
+
+    Give one or both. A `coef` alone is wrapped into a `batch_coef` that
+    calls it once per row and checks each result's shape; a `batch_coef`
+    alone yields `coef` as its stack of one. The Euler simulator calls
+    `batch_coef` once per step on all paths through `coefs_at`, which
+    checks the stack's shape (DimensionError) and finiteness
+    (NonFiniteError). The coefficient must be total on R^p and Lipschitz;
+    neither is checked. The callables are invoked from the thread that owns
+    the object.
     """
 
     p: int
     d: int
     x0: np.ndarray
-    coef: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    coef: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    batch_coef: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 1:
@@ -343,13 +349,46 @@ class GeneralSde:
         if not isinstance(self.d, int) or self.d < 1:
             raise DimensionError(f"d must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "x0", matkit.as_vector(self.x0, self.p, "x0"))
-        if not callable(self.coef):
+        coef, batch = self.coef, self.batch_coef
+        if coef is None and batch is None or not all(
+                f is None or callable(f) for f in (coef, batch)):
             raise DimensionError("coef must be callable")
+        if batch is None:
+            object.__setattr__(self, "batch_coef", _row_loop(coef, self.p, self.d))
+        if coef is None:
+            object.__setattr__(self, "coef", lambda x: batch(np.asarray(x, dtype=float)[None])[0])
+
+    def coefs_at(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate the coefficient at the n rows of x and validate the
+        (n, p, d) stack it returns."""
+        x = np.asarray(x, dtype=float)
+        raw = self.batch_coef(x)
+        try:
+            a = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DimensionError(f"coef(x): not a rectangular numeric array ({exc})")
+        shape = (x.shape[0], self.p, self.d)
+        if a.shape != shape:
+            raise DimensionError(f"coef(x): expected shape {shape}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise NonFiniteError("coef(x): contains non-finite entries")
+        return a
 
     def coef_at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the coefficient and validate its shape."""
-        return matkit.as_matrix(self.coef(np.asarray(x, dtype=float)),
-                                self.p, self.d, "coef(x)")
+        """Evaluate the coefficient at one state and validate its shape."""
+        return self.coefs_at(np.asarray(x, dtype=float)[None])[0]
+
+
+def _row_loop(coef: Callable[[np.ndarray], np.ndarray], p: int, d: int):
+    """The batched form of a one-state coefficient: one call per row."""
+
+    def batch(x: np.ndarray) -> np.ndarray:
+        out = np.empty((x.shape[0], p, d))
+        for i, row in enumerate(x):
+            out[i] = matkit.as_matrix(coef(row), p, d, "coef(x)")
+        return out
+
+    return batch
 
 
 def ou_as_general(model: OuModel) -> GeneralSde:
@@ -359,13 +398,13 @@ def ou_as_general(model: OuModel) -> GeneralSde:
     multiplies dt, the remaining columns multiply dW.
     """
 
-    def coef(x: np.ndarray) -> np.ndarray:
-        out = np.empty((model.p, 1 + model.d))
-        out[:, 0] = model.B @ (x - model.A)
-        out[:, 1:] = model.sigma
+    def batch(x: np.ndarray) -> np.ndarray:
+        out = np.empty((x.shape[0], model.p, 1 + model.d))
+        out[:, :, :1] = model.B @ (x - model.A)[:, :, None]
+        out[:, :, 1:] = model.sigma
         return out
 
-    return GeneralSde(model.p, 1 + model.d, model.x0, coef)
+    return GeneralSde(model.p, 1 + model.d, model.x0, batch_coef=batch)
 
 
 def intervene_general(sde: GeneralSde, iv: Intervention) -> GeneralSde:
@@ -376,16 +415,15 @@ def intervene_general(sde: GeneralSde, iv: Intervention) -> GeneralSde:
     """
     if sde.p < 2:
         raise DimensionError("cannot pin a coordinate of a 1-dimensional SDE")
-    if not 1 <= iv.m <= sde.p:
-        raise BadCoordinateError(f"coordinate {iv.m} outside 1..{sde.p}")
+    _check_coordinate(iv.m, sde.p)
     m, c = iv.m, iv.c
     keep = np.array([i for i in range(sde.p) if i != m - 1])
-    inner = sde.coef
+    inner = sde.batch_coef
 
-    def coef(y: np.ndarray) -> np.ndarray:
-        x = np.empty(sde.p)
-        x[keep] = y
-        x[m - 1] = c
-        return np.asarray(inner(x), dtype=float)[keep, :]
+    def batch(y: np.ndarray) -> np.ndarray:
+        x = np.empty((y.shape[0], sde.p))
+        x[:, keep] = y
+        x[:, m - 1] = c
+        return np.asarray(inner(x), dtype=float)[:, keep, :]
 
-    return GeneralSde(sde.p - 1, sde.d, sde.x0[keep], coef)
+    return GeneralSde(sde.p - 1, sde.d, sde.x0[keep], batch_coef=batch)

@@ -301,7 +301,8 @@ def _euler_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
 
 
 def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
-    """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated per path.
+    """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated on all
+    paths at once through the batched coefficient.
 
     A coefficient that is non-finite at x0 raises NonFiniteError. A state or
     a coefficient that turns non-finite later means the paths diverged:
@@ -310,22 +311,22 @@ def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
     n_brownian = sde.d - 1
     x = np.repeat(sde.x0[None, :], origins.size, axis=0)
     yield x
-    dz = np.empty((origins.size, sde.d))
+    dz = np.empty((origins.size, sde.d, 1))
     for k in range(len(t) - 1):
         dt = float(t[k + 1] - t[k])
-        dz[:, 0] = dt
+        dz[:, 0, 0] = dt
         if n_brownian > 0:
-            dz[:, 1:] = _brownian(origins, k, n_brownian, dt)
-        x = x.copy()
-        for i in range(origins.size):
-            try:
-                coef = sde.coef_at(x[i])
-            except NonFiniteError:
-                if k == 0:
-                    raise
-                # _drive found every state up to t_k finite.
-                raise _overflow(t[k])
-            x[i] = x[i] + coef @ dz[i]
+            dz[:, 1:, 0] = _brownian(origins, k, n_brownian, dt)
+        try:
+            coef = sde.coefs_at(x)
+        except NonFiniteError:
+            if k == 0:
+                raise
+            # _drive found every state up to t_k finite.
+            raise _overflow(t[k])
+        # Each slice is the matrix-vector product of one path, so the
+        # stacked step equals stepping the paths one at a time.
+        x = x + (coef @ dz)[:, :, 0]
         yield x
 
 

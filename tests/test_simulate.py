@@ -12,6 +12,7 @@ from oucausal import (
     TimeGrid,
     coupled_intervention_diff,
     exact_transition,
+    intervene_general,
     ou_as_general,
     path_stats,
     simulate_paths,
@@ -20,6 +21,7 @@ from oucausal import (
     uniform_grid,
 )
 from oucausal import matkit
+from oucausal.simulate import _brownian, _stream_origins
 from oucausal.errors import (
     DimensionError,
     EmptyGridError,
@@ -270,6 +272,104 @@ def test_general_euler_nonfinite_coefficient_at_x0():
     with pytest.raises(NonFiniteError):
         simulate_paths(sde, uniform_grid(1.0, 4), 1, seed=0, method="euler")
 
+
+
+# The per-path Euler loop for a general SDE, kept as the reference for the
+# batched step: `coef` maps one state to its p x d coefficient, and each
+# path takes its own matrix-vector step.
+def _reference_general_euler(coef, p, d, x0, grid, n_paths, seed):
+    t = grid.t
+    origins = _stream_origins(seed, np.arange(n_paths, dtype=np.uint64))
+    x = np.repeat(np.asarray(x0, dtype=float)[None, :], n_paths, axis=0)
+    values = [x]
+    dz = np.empty((n_paths, d))
+    for k in range(len(t) - 1):
+        dt = float(t[k + 1] - t[k])
+        dz[:, 0] = dt
+        if d > 1:
+            dz[:, 1:] = _brownian(origins, k, d - 1, dt)
+        x = x.copy()
+        for i in range(n_paths):
+            x[i] = x[i] + matkit.as_matrix(coef(x[i]), p, d, "coef(x)") @ dz[i]
+        values.append(x)
+    return np.stack(values, axis=1)
+
+
+def _reference_ou_coef(model):
+    # [B (x - A) | sigma] for one state.
+    def coef(x):
+        out = np.empty((model.p, 1 + model.d))
+        out[:, 0] = model.B @ (x - model.A)
+        out[:, 1:] = model.sigma
+        return out
+    return coef
+
+
+def _reference_pinned_coef(coef, p, iv):
+    keep = np.array([i for i in range(p) if i != iv.m - 1])
+
+    def reduced(y):
+        x = np.empty(p)
+        x[keep] = y
+        x[iv.m - 1] = iv.c
+        return np.asarray(coef(x), dtype=float)[keep, :]
+    return reduced
+
+
+def _batched_cases():
+    rng = np.random.default_rng(808)
+    m = OuModel(p=6, d=4, x0=rng.uniform(-1, 1, 6), A=rng.uniform(-1, 1, 6),
+                B=gershgorin_stable(rng, 6), sigma=rng.uniform(-1, 1, (6, 4)))
+    first, second = Intervention(4, 0.7), Intervention(2, -1.3)
+    ou_ref = _reference_ou_coef(m)
+    once_ref = _reference_pinned_coef(ou_ref, 6, first)
+    once = intervene_general(ou_as_general(m), first)
+
+    def wave(x):
+        return np.array([[np.sin(x[0]), 0.3, np.cos(x[1])],
+                         [0.5 * x[1], np.sin(x[0] * x[1]), 1.0]])
+
+    return {
+        "ou_as_general": (ou_as_general(m), ou_ref, m.x0, 25),
+        "pinned_once": (once, once_ref, np.delete(m.x0, 3), 25),
+        "pinned_twice": (intervene_general(once, second),
+                         _reference_pinned_coef(once_ref, 5, second),
+                         np.delete(m.x0, [1, 3]), 25),
+        "wrapped_sin": (GeneralSde(p=2, d=3, x0=[0.4, -0.2], coef=wave), wave,
+                        [0.4, -0.2], 25),
+        "one_path": (ou_as_general(m), ou_ref, m.x0, 1),
+    }
+
+
+@pytest.mark.parametrize("case", list(_batched_cases()))
+def test_general_euler_batched_matches_per_path_reference(case):
+    sde, coef, x0, n_paths = _batched_cases()[case]
+    grid = uniform_grid(0.8, 30)
+    got = simulate_paths(sde, grid, n_paths, seed=17, method="euler").values
+    want = _reference_general_euler(coef, sde.p, sde.d, x0, grid, n_paths, 17)
+    assert np.array_equal(got, want)
+
+
+def test_general_euler_wrong_shape_coefficient():
+    wrong = GeneralSde(p=2, d=2, x0=[0.0, 0.0],
+                       batch_coef=lambda x: np.ones((x.shape[0], 2, 3)))
+    with pytest.raises(DimensionError, match=re.escape("coef(x)")):
+        simulate_paths(wrong, uniform_grid(1.0, 4), 3, seed=0, method="euler")
+    with pytest.raises(DimensionError, match=re.escape("coef(x)")):
+        wrong.coef_at([0.0, 0.0])
+    with pytest.raises(DimensionError):
+        GeneralSde(p=2, d=2, x0=[0.0, 0.0])
+
+
+def test_general_euler_ragged_wrapped_coefficient():
+    # Paths leave x = 0 in both directions after the first step; rows with
+    # x > 0 get a coefficient with an extra row.
+    def coef(x):
+        return [[0.0, 1.0]] if x[0] <= 0.0 else [[0.0, 1.0], [0.0, 1.0]]
+
+    sde = GeneralSde(p=1, d=2, x0=[0.0], coef=coef)
+    with pytest.raises(DimensionError, match=re.escape("coef(x)")):
+        simulate_paths(sde, uniform_grid(1.0, 4), 8, seed=0, method="euler")
 
 # --------------------------------------------------------- coupled simulation
 
