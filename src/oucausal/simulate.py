@@ -21,7 +21,7 @@ pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,9 +114,14 @@ class RngStream:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times starting at 0."""
+    """Strictly increasing times starting at 0.
+
+    A grid from `uniform_grid` also keeps the step it was built from, so the
+    exact sampler computes one transition for the whole grid.
+    """
 
     t: np.ndarray
+    _step: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = matkit.as_vector(self.t, name="t")
@@ -138,7 +143,9 @@ def uniform_grid(t_end: float, steps: int) -> TimeGrid:
         raise NonPositiveStepError("steps must be >= 1")
     if not t_end > 0:
         raise NonPositiveStepError("t_end must be positive")
-    return TimeGrid(np.linspace(0.0, float(t_end), steps + 1))
+    grid = TimeGrid(np.linspace(0.0, float(t_end), steps + 1))
+    object.__setattr__(grid, "_step", float(t_end) / steps)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -269,15 +276,18 @@ def _states(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
         raise DimensionError(f"unsupported model type {type(model).__name__}")
     else:
         steps = _exact_steps if method == "exact" else _euler_steps
-    return steps(model, grid.t, _stream_origins(seed, np.arange(n_paths, dtype=np.uint64)))
+    return steps(model, grid, _stream_origins(seed, np.arange(n_paths, dtype=np.uint64)))
 
 
-def _exact_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
+def _exact_steps(model: OuModel, grid: TimeGrid, origins: np.ndarray):
+    # Keyed by step length: a uniform grid's np.diff holds several values
+    # within rounding of its step, so such a grid uses the step itself.
+    t = grid.t
     x = np.repeat(model.x0[None, :], origins.size, axis=0)
     yield x
     cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for k in range(len(t) - 1):
-        dt = float(t[k + 1] - t[k])
+        dt = float(t[k + 1] - t[k]) if grid._step is None else grid._step
         if dt not in cache:
             # Pivots at or below the limit count as zero, so a
             # positive-semidefinite Q (even Q = 0) is factored.
@@ -290,7 +300,8 @@ def _exact_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
         yield x
 
 
-def _euler_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
+def _euler_steps(model: OuModel, grid: TimeGrid, origins: np.ndarray):
+    t = grid.t
     x = np.repeat(model.x0[None, :], origins.size, axis=0)
     yield x
     for k in range(len(t) - 1):
@@ -300,7 +311,7 @@ def _euler_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
         yield x
 
 
-def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
+def _general_steps(sde: GeneralSde, grid: TimeGrid, origins: np.ndarray):
     """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated on all
     paths at once through the batched coefficient.
 
@@ -308,6 +319,7 @@ def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
     a coefficient that turns non-finite later means the paths diverged:
     SimulationOverflowError names the first grid time where either happens.
     """
+    t = grid.t
     n_brownian = sde.d - 1
     x = np.repeat(sde.x0[None, :], origins.size, axis=0)
     yield x

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oucausal import (
     GeneralSde,
@@ -20,7 +21,7 @@ from oucausal import (
     stationary_distribution,
     uniform_grid,
 )
-from oucausal import matkit
+from oucausal import matkit, simulate
 from oucausal.simulate import _brownian, _stream_origins
 from oucausal.errors import (
     DimensionError,
@@ -135,6 +136,57 @@ def test_transition_rejects_nonpositive_time():
     with pytest.raises(NonPositiveStepError):
         exact_transition(demo_triangular(), 0.0)
 
+
+
+def _van_loan(model, t):
+    # scipy oracle: exp(t [[B, S], [0, -B^T]]) = [[F, E12], [0, *]], Q = E12 F^T.
+    p = model.p
+    block = np.zeros((2 * p, 2 * p))
+    block[:p, :p] = model.B
+    block[:p, p:] = model.sigma @ model.sigma.T
+    block[p:, p:] = -model.B.T
+    e = expm(t * block)
+    f = e[:p, :p]
+    return f, (np.eye(p) - f) @ model.A, e[:p, p:] @ f.T
+
+
+def _counted_transitions(monkeypatch):
+    calls = []
+    original = simulate.exact_transition
+
+    def counted(model, t):
+        out = original(model, t)
+        calls.append((t, out))
+        return out
+
+    monkeypatch.setattr(simulate, "exact_transition", counted)
+    return calls
+
+
+def test_exact_uniform_grid_computes_one_transition(monkeypatch):
+    m = demo_triangular(x0=(1.0, 0.0, -1.0))
+    calls = _counted_transitions(monkeypatch)
+    simulate_paths(m, uniform_grid(1.0, 50), 4, seed=3, method="exact")
+    assert len(calls) == 1
+    t, (f, g, q) = calls[0]
+    assert t == 1.0 / 50
+    f_ref, g_ref, q_ref = _van_loan(m, t)
+    assert np.max(np.abs(f - f_ref)) <= 1e-13
+    assert np.max(np.abs(g - g_ref)) <= 1e-13
+    assert np.max(np.abs(q - q_ref)) <= 1e-13
+
+
+def test_exact_timegrid_computes_one_transition_per_step_length(monkeypatch):
+    m = demo_triangular(x0=(1.0, 0.0, -1.0))
+    calls = _counted_transitions(monkeypatch)
+    t = np.array([0.0, 0.1, 0.5, 2.0, 2.4])
+    simulate_paths(m, TimeGrid(t), 4, seed=3, method="exact")
+    assert sorted(dt for dt, _ in calls) == sorted(set(np.diff(t).tolist()))
+    for dt, (f, g, q) in calls:
+        f_ref, g_ref, q_ref = _van_loan(m, dt)
+        assert np.max(np.abs(f - f_ref)) <= 1e-13
+        assert np.max(np.abs(g - g_ref)) <= 1e-13
+        assert np.max(np.abs(q - q_ref)) <= 1e-13
 
 # ------------------------------------------------------------------ simulation
 
