@@ -349,13 +349,12 @@ class GeneralSde:
         if not isinstance(self.d, int) or self.d < 1:
             raise DimensionError(f"d must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "x0", matkit.as_vector(self.x0, self.p, "x0"))
-        coef, batch = self.coef, self.batch_coef
-        if coef is None and batch is None or not all(
-                f is None or callable(f) for f in (coef, batch)):
+        batch = self.batch_coef
+        if not callable(self.coef if batch is None else batch):
             raise DimensionError("coef must be callable")
         if batch is None:
-            object.__setattr__(self, "batch_coef", _row_loop(coef, self.p, self.d))
-        if coef is None:
+            object.__setattr__(self, "batch_coef", _row_loop(self.coef, self.p, self.d))
+        elif self.coef is None:
             object.__setattr__(self, "coef", lambda x: batch(np.asarray(x, dtype=float)[None])[0])
 
     def coefs_at(self, x: np.ndarray) -> np.ndarray:

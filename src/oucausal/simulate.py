@@ -11,7 +11,12 @@ build. Bit-exact reproduction across platforms is not promised
 
 Each scheme (exact OU, Euler OU, Euler for a general SDE, and the coupled
 pair) is written once, as a generator that yields the state at each grid
-time. `_drive` runs it and checks every state for overflow as it arrives.
+time. Every scheme steps all paths together: the general-SDE Euler step
+evaluates the batched coefficient `GeneralSde.batch_coef` once per step,
+and the exact sampler computes one transition per distinct step length,
+which on a uniform grid (`uniform_grid`, or any `linspace` from 0) is one
+transition for the whole run. `_drive`
+runs a scheme and checks every state for overflow as it arrives.
 `simulate_paths` and `coupled_intervention_diff` store every state;
 `_final_stats` (behind `simulate --stats-only`) keeps only the current one,
 so its memory is O(n_paths * p) whatever the number of steps. The coupled
@@ -21,7 +26,7 @@ pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,14 +119,9 @@ class RngStream:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times starting at 0.
-
-    A grid from `uniform_grid` also keeps the step it was built from, so the
-    exact sampler computes one transition for the whole grid.
-    """
+    """Strictly increasing times starting at 0."""
 
     t: np.ndarray
-    _step: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = matkit.as_vector(self.t, name="t")
@@ -143,9 +143,7 @@ def uniform_grid(t_end: float, steps: int) -> TimeGrid:
         raise NonPositiveStepError("steps must be >= 1")
     if not t_end > 0:
         raise NonPositiveStepError("t_end must be positive")
-    grid = TimeGrid(np.linspace(0.0, float(t_end), steps + 1))
-    object.__setattr__(grid, "_step", float(t_end) / steps)
-    return grid
+    return TimeGrid(np.linspace(0.0, float(t_end), steps + 1))
 
 
 @dataclass(frozen=True)
@@ -276,18 +274,19 @@ def _states(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
         raise DimensionError(f"unsupported model type {type(model).__name__}")
     else:
         steps = _exact_steps if method == "exact" else _euler_steps
-    return steps(model, grid, _stream_origins(seed, np.arange(n_paths, dtype=np.uint64)))
+    return steps(model, grid.t, _stream_origins(seed, np.arange(n_paths, dtype=np.uint64)))
 
 
-def _exact_steps(model: OuModel, grid: TimeGrid, origins: np.ndarray):
-    # Keyed by step length: a uniform grid's np.diff holds several values
-    # within rounding of its step, so such a grid uses the step itself.
-    t = grid.t
+def _exact_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
     x = np.repeat(model.x0[None, :], origins.size, axis=0)
     yield x
+    # np.diff of a linspace grid holds several values within rounding of
+    # its step, so such a grid takes every transition over t_end / steps.
+    n_steps = len(t) - 1
+    uniform = np.array_equal(t, np.linspace(0.0, t[-1], n_steps + 1))
     cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for k in range(len(t) - 1):
-        dt = float(t[k + 1] - t[k]) if grid._step is None else grid._step
+    for k in range(n_steps):
+        dt = float(t[-1]) / n_steps if uniform else float(t[k + 1] - t[k])
         if dt not in cache:
             # Pivots at or below the limit count as zero, so a
             # positive-semidefinite Q (even Q = 0) is factored.
@@ -300,8 +299,7 @@ def _exact_steps(model: OuModel, grid: TimeGrid, origins: np.ndarray):
         yield x
 
 
-def _euler_steps(model: OuModel, grid: TimeGrid, origins: np.ndarray):
-    t = grid.t
+def _euler_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
     x = np.repeat(model.x0[None, :], origins.size, axis=0)
     yield x
     for k in range(len(t) - 1):
@@ -311,7 +309,7 @@ def _euler_steps(model: OuModel, grid: TimeGrid, origins: np.ndarray):
         yield x
 
 
-def _general_steps(sde: GeneralSde, grid: TimeGrid, origins: np.ndarray):
+def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
     """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated on all
     paths at once through the batched coefficient.
 
@@ -319,7 +317,6 @@ def _general_steps(sde: GeneralSde, grid: TimeGrid, origins: np.ndarray):
     a coefficient that turns non-finite later means the paths diverged:
     SimulationOverflowError names the first grid time where either happens.
     """
-    t = grid.t
     n_brownian = sde.d - 1
     x = np.repeat(sde.x0[None, :], origins.size, axis=0)
     yield x

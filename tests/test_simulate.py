@@ -163,10 +163,13 @@ def _counted_transitions(monkeypatch):
     return calls
 
 
-def test_exact_uniform_grid_computes_one_transition(monkeypatch):
+@pytest.mark.parametrize("grid", [uniform_grid(1.0, 50),
+                                  TimeGrid(np.linspace(0.0, 1.0, 51))])
+def test_exact_uniform_grid_computes_one_transition(monkeypatch, grid):
+    # np.diff of this grid holds 7 distinct values; one step serves them all.
     m = demo_triangular(x0=(1.0, 0.0, -1.0))
     calls = _counted_transitions(monkeypatch)
-    simulate_paths(m, uniform_grid(1.0, 50), 4, seed=3, method="exact")
+    simulate_paths(m, grid, 4, seed=3, method="exact")
     assert len(calls) == 1
     t, (f, g, q) = calls[0]
     assert t == 1.0 / 50
