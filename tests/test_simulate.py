@@ -416,6 +416,15 @@ def test_general_euler_wrong_shape_coefficient():
         GeneralSde(p=2, d=2, x0=[0.0, 0.0])
 
 
+def test_general_euler_batched_coefficient_turning_nonfinite():
+    # Pure drift 1 until x reaches 0.6: states 0, 0.25, 0.5, 0.75, and the
+    # coefficient at the state of t = 0.75 is infinite.
+    sde = GeneralSde(p=1, d=1, x0=[0.0],
+                     batch_coef=lambda x: np.where(x[:, :, None] < 0.6, 1.0, np.inf))
+    with pytest.raises(SimulationOverflowError, match=r"t = 0\.75;"):
+        simulate_paths(sde, uniform_grid(1.0, 4), 3, seed=0, method="euler")
+
+
 def test_general_euler_ragged_wrapped_coefficient():
     # Paths leave x = 0 in both directions after the first step; rows with
     # x > 0 get a coefficient with an extra row.
