@@ -110,8 +110,9 @@ def cmd_describe(args) -> str:
         "stationarity": verdict.verdict.value,
     }
     if verdict.verdict is stat.Verdict.EXISTS:
-        law = stat.stationary_distribution(model)
-        doc["stationary"] = {"mean": _vec(law.mean), "cov": _mat(law.cov)}
+        if verdict.law is None:
+            raise verdict._no_law
+        doc["stationary"] = {"mean": _vec(verdict.law.mean), "cov": _mat(verdict.law.cov)}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -73,11 +73,6 @@ def _require_square(m: np.ndarray, name: str) -> None:
         raise DimensionError(f"{name}: expected a square matrix, got {m.shape}")
 
 
-def norm_inf(m: np.ndarray) -> float:
-    """Max absolute row sum (the infinity operator norm)."""
-    return float(np.max(np.sum(np.abs(m), axis=1), initial=0.0))
-
-
 def norm_one(m: np.ndarray) -> float:
     """Max absolute column sum (the 1 operator norm)."""
     return float(np.max(np.sum(np.abs(m), axis=0), initial=0.0))

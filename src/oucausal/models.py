@@ -42,7 +42,7 @@ def _check_coordinate(m: int, p: int, prefix: str = "") -> None:
         raise BadCoordinateError(f"{prefix}coordinate {m} outside 1..{p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuModel:
     """Validated Ornstein-Uhlenbeck model (x0, A, B, sigma) with labels.
 
@@ -85,13 +85,6 @@ class OuModel:
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Drift B (x - A) at state x."""
         return self.B @ (np.asarray(x, dtype=float) - self.A)
-
-    def label_index(self, label: str) -> int:
-        """1-based index of a coordinate label."""
-        try:
-            return self.labels.index(label) + 1
-        except ValueError:
-            raise BadCoordinateError(f"unknown coordinate label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -300,22 +293,15 @@ def intervened_dependence_graph(
     pinned = set()
     for iv in ivs:
         _check_coordinate(iv.m, model.p)
-        if iv.m in pinned:
-            raise DuplicateInterventionError(
-                f"coordinate {model.labels[iv.m - 1]!r} pinned twice"
-            )
-        pinned.add(iv.m)
-    edges = []
-    for i in range(model.p):
-        if i + 1 in pinned:
-            continue
-        for j in range(model.p):
-            if abs(model.B[i, j]) > tol:
-                edges.append((model.labels[j], model.labels[i]))
-    return DependenceGraph(model.labels, tuple(edges))
+        label = model.labels[iv.m - 1]
+        if label in pinned:
+            raise DuplicateInterventionError(f"coordinate {label!r} pinned twice")
+        pinned.add(label)
+    graph = dependence_graph(model, tol)
+    return DependenceGraph(graph.nodes, tuple(e for e in graph.edges if e[1] not in pinned))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralSde:
     """SDE dX = a(X-) dZ with a caller-supplied coefficient function.
 

@@ -117,7 +117,7 @@ class RngStream:
         return _normals_from_origins(origins, start, count)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing times starting at 0."""
 
@@ -146,7 +146,7 @@ def uniform_grid(t_end: float, steps: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, float(t_end), steps + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathBundle:
     """Simulated paths: values has shape (n_paths, len(grid), p)."""
 
@@ -171,7 +171,7 @@ class PathBundle:
         return int(self.values.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathStats:
     """Cross-path sample statistics at one grid time."""
 
@@ -216,8 +216,6 @@ def exact_transition(model: OuModel, t: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _validate_run(grid: TimeGrid, n_paths: int) -> None:
-    if len(grid) == 0:
-        raise EmptyGridError("time grid is empty")
     if n_paths < 1:
         raise DimensionError("n_paths must be >= 1")
 

@@ -63,7 +63,7 @@ class Classification(str, Enum):
     UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Three-way classification with the abscissa estimate and certificate.
 
@@ -465,10 +465,16 @@ def diagonal_lyapunov_certificate(
     `verify_diagonal_certificate` passes exactly. Returning None proves
     nothing: the search is deterministic for a given (seed, budget) but
     incomplete.
+
+    Why it is kept: a found D certifies every pinning at once. For an
+    index set K, B_KK D_K + D_K B_KK^T is the principal submatrix of
+    B D + D B^T on K, so it is negative definite too, and D_K > 0 makes
+    B_KK stable. Every sequence of pinnings leaves such a B~. When the
+    columns of sigma span R^p, those of sigma~ (rows deleted) span the
+    reduced space, so the intervened model has a stationary law after
+    every sequence of pinnings, which is the paper's question.
     """
-    a = matkit.as_matrix(b, name="B")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"B must be square, got {a.shape}")
+    a = _square(b)
     if budget < 1:
         raise DimensionError("budget must be >= 1")
     n = a.shape[0]

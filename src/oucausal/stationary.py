@@ -2,12 +2,15 @@
 
 For diffusion matrices whose columns span R^p, a stationary distribution
 exists iff the mean reversion speed B is stable; it is then the normal law
-with mean A and covariance G solving sigma sigma^T + B G + G B^T = 0. The
-Lyapunov equation is solved by the O(p^3) sign-function iteration of
-`stability.solve_lyapunov`, the same one that decides stability. Its
-accuracy falls as the spectral abscissa of B approaches 0; the test suite
-checks it against the quadrature representation
-G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds.
+with mean A and covariance G solving sigma sigma^T + B G + G B^T = 0.
+
+One decision, `_decide`, serves every caller: the rank of sigma, then one
+stacked sign-function solve (`stability.solve_lyapunov_stack`) over (B, B)
+with Q in {I, sigma sigma^T}. The B iterates do not depend on Q, so the
+Q = I member decides stability and the other yields G. `stationary_exists`
+adds the controllability rank and `stationary_distribution` reads the law.
+G loses accuracy as the spectral abscissa of B approaches 0; the test
+suite checks it against G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds.
 
 When sigma lacks full column span, existence depends on a more involved
 criterion that is intentionally not decided here; the verdict is reported
@@ -16,7 +19,7 @@ as indeterminate together with the controllability rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal
 
@@ -24,17 +27,17 @@ import numpy as np
 
 from . import matkit, stability
 from .errors import (
-    DimensionError,
     NonFiniteError,
     NoStationaryDistributionError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    OuCausalError,
     PreconditionError,
 )
 from .models import OuModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianLaw:
     """Normal law with mean vector and positive-semidefinite covariance.
 
@@ -65,25 +68,28 @@ class Verdict(str, Enum):
     INDETERMINATE_COLUMN_SPAN = "IndeterminateColumnSpan"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationarityVerdict:
     """Existence verdict plus the data it was decided from.
 
     `verdict` is Exists or NotExists only when sigma has full column span;
     otherwise it is IndeterminateColumnSpan and existence is not decided.
+    `law` is the stationary law when the verdict is Exists and its
+    covariance is finite and positive semidefinite; otherwise it is None,
+    and `_no_law` holds the error that `stationary_distribution` raises.
     """
 
     verdict: Verdict
     controllability_rank: int
     sigma_full_column_span: bool
     b_stable: bool
+    law: GaussianLaw | None = None
+    _no_law: OuCausalError | None = field(default=None, repr=False)
 
 
 def controllability_rank(b, sigma) -> int:
     """Rank of the p x (pd) block matrix [sigma | B sigma | ... | B^{p-1} sigma]."""
-    bm = matkit.as_matrix(b, name="B")
-    if bm.shape[0] != bm.shape[1]:
-        raise DimensionError(f"B must be square, got {bm.shape}")
+    bm = stability._square(b)
     sm = matkit.as_matrix(sigma, bm.shape[0], None, "sigma")
     blocks = [sm]
     acc = sm
@@ -93,52 +99,58 @@ def controllability_rank(b, sigma) -> int:
     return matkit.rank(np.hstack(blocks))
 
 
+def _decide(model: OuModel) -> tuple[Verdict, bool, GaussianLaw | None, OuCausalError | None]:
+    """The stationarity decision: (verdict, B stable, law, the error that
+    `stationary_distribution` raises when there is no law).
+
+    With sigma of full column span and B stable, hence invertible, the mean
+    equation B mu = B A reduces to mu = A; G is the symmetrized X.
+    """
+    full_span = matkit.rank(model.sigma) == model.p
+    (stable, _), (solved, g) = stability.solve_lyapunov_stack(
+        np.stack([model.B, model.B]),
+        np.stack([np.eye(model.p), model.sigma @ model.sigma.T]))
+    verdict = (Verdict.INDETERMINATE_COLUMN_SPAN if not full_span
+               else Verdict.EXISTS if stable else Verdict.NOT_EXISTS)
+    if verdict is not Verdict.EXISTS:
+        no_law = NoStationaryDistributionError(
+            f"no stationary distribution: verdict {verdict.value}")
+    elif not solved:  # B is stable, so only a G beyond the float64 range fails
+        no_law = NonFiniteError("the stationary covariance overflows float64")
+    else:
+        try:
+            return verdict, stable, GaussianLaw(model.A.copy(), g), None
+        except (NotPositiveDefiniteError, NotSymmetricError) as exc:
+            no_law = exc
+    return verdict, stable, None, no_law
+
+
 def stationary_exists(model: OuModel) -> StationarityVerdict:
     """Decide existence of a stationary law when sigma has full column span.
 
     Full column span (rank(sigma) = p) makes existence equivalent to
     stability of B. Without full span the verdict is indeterminate; only
-    the controllability rank is reported.
+    the controllability rank is reported. The verdict carries the law when
+    it exists and is representable (see `StationarityVerdict`).
     """
-    full_span = matkit.rank(model.sigma) == model.p
-    b_stable, _ = stability.is_stable(model.B)
+    verdict, stable, law, no_law = _decide(model)
     ctrl = controllability_rank(model.B, model.sigma)
-    if not full_span:
-        return StationarityVerdict(
-            Verdict.INDETERMINATE_COLUMN_SPAN, ctrl, False, b_stable
-        )
-    verdict = Verdict.EXISTS if b_stable else Verdict.NOT_EXISTS
-    return StationarityVerdict(verdict, ctrl, True, b_stable)
+    full_span = verdict is not Verdict.INDETERMINATE_COLUMN_SPAN
+    return StationarityVerdict(verdict, ctrl, full_span, stable, law, no_law)
 
 
 def stationary_distribution(model: OuModel) -> GaussianLaw:
     """Stationary law of the model: mean A, covariance from the Lyapunov solve.
 
-    Requires the verdict of `stationary_exists(model)` to be Exists: sigma
-    of full column span and B stable, hence invertible, so the mean
-    equation B mu = B A reduces to mu = A. The covariance G solves
-    B G + G B^T + sigma sigma^T = 0 and is explicitly symmetrized.
+    Requires the verdict of `stationary_exists(model)` to be Exists, else
+    raises NoStationaryDistributionError. The covariance G solves
+    B G + G B^T + sigma sigma^T = 0 and is explicitly symmetrized; a G
+    beyond the float64 range raises NonFiniteError.
     """
-    verdict = Verdict.EXISTS
-    if matkit.rank(model.sigma) < model.p:
-        verdict = Verdict.INDETERMINATE_COLUMN_SPAN
-    else:
-        # One stacked solve decides stability (Q = I) and gives the
-        # covariance (Q = sigma sigma^T): the B iterates do not depend on Q.
-        (stable, _), (solved, g) = stability.solve_lyapunov_stack(
-            np.stack([model.B, model.B]),
-            np.stack([np.eye(model.p), model.sigma @ model.sigma.T]))
-        if not stable:
-            verdict = Verdict.NOT_EXISTS
-    if verdict is not Verdict.EXISTS:
-        raise NoStationaryDistributionError(
-            f"no stationary distribution: verdict {verdict.value}"
-        )
-    # B is stable, so a failed covariance solve can only be a covariance
-    # beyond the float64 range.
-    if not solved:
-        raise NonFiniteError("the stationary covariance overflows float64")
-    return GaussianLaw(model.A.copy(), g)
+    _, _, law, no_law = _decide(model)
+    if law is None:
+        raise no_law
+    return law
 
 
 _CLOSED_FORM_TARGETS = ("X2", "X3")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
-from oucausal import cli
+from oucausal import cli, stability, stationary
+from oucausal.errors import NotPositiveDefiniteError
 from oucausal.modelfile import load_model_file
 from oucausal.models import intervene_seq
 from oucausal.simulate import (
@@ -213,6 +214,56 @@ def test_describe_with_entries_near_float64_max(tmp_path, capsys):
     stability = json.loads(captured.out)["stability"]
     assert stability["classification"] == "Stable"
     assert abs(stability["spectral_abscissa"] + 1e308) <= 1e-12 * 1e308
+
+
+@pytest.mark.parametrize("command", ["describe", "stationary"])
+def test_covariance_overflow_exits_3(tmp_path, capsys, command):
+    doc = dict(ROTATING, B=(-1e-200 * np.eye(2)).tolist(), sigma=(1e110 * np.eye(2)).tolist())
+    code = cli.main([command, write_model(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: the stationary covariance overflows float64\n"
+
+
+def test_indefinite_covariance_fails_describe_as_stationary(tmp_path, capsys, monkeypatch):
+    # The solver can return an indefinite G for a stable, strongly
+    # non-normal B; the law's validation then fails. stationary_exists still
+    # returns its verdict, and describe reports the error stationary does.
+    def indefinite(mean, cov):
+        raise NotPositiveDefiniteError("cov is not positive semidefinite: pivot -1")
+
+    monkeypatch.setattr(stationary, "GaussianLaw", indefinite)
+    path = write_model(tmp_path, DEMO)
+    verdict = stationary.stationary_exists(load_model_file(path)[0])
+    assert verdict.verdict is stationary.Verdict.EXISTS and verdict.law is None
+    for command in ("describe", "stationary"):
+        assert cli.main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cov is not positive semidefinite: pivot -1\n"
+
+
+def test_describe_decides_stationarity_in_one_solve(tmp_path, capsys, monkeypatch):
+    # The bisection and the certificate solve with Q = I only; the
+    # stationarity solve is the one that carries sigma sigma^T != I.
+    doc = dict(DEMO, sigma=[[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    calls = {"stationarity": 0, "is_stable": 0}
+    solve, is_stable = stability.solve_lyapunov_stack, stability.is_stable
+
+    def counted_solve(b, q):
+        calls["stationarity"] += not np.array_equal(q, np.broadcast_to(np.eye(3), q.shape))
+        return solve(b, q)
+
+    def counted_is_stable(b):
+        calls["is_stable"] += 1
+        return is_stable(b)
+
+    monkeypatch.setattr(stability, "solve_lyapunov_stack", counted_solve)
+    monkeypatch.setattr(stability, "is_stable", counted_is_stable)
+    assert cli.main(["describe", write_model(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["stationarity"] == "Exists"
+    assert calls == {"stationarity": 1, "is_stable": 0}
 
 
 # ------------------------------------------------------------------ stability

@@ -5,12 +5,19 @@ from oucausal import (
     GeneralSde,
     Intervention,
     OuModel,
+    PathBundle,
+    classify,
     dependence_graph,
     intervene_general,
     intervene_ou,
     intervene_seq,
     intervened_dependence_graph,
     ou_as_general,
+    path_stats,
+    simulate_paths,
+    stationary_distribution,
+    stationary_exists,
+    uniform_grid,
 )
 from oucausal.errors import (
     BadCoordinateError,
@@ -33,6 +40,20 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         OuModel(p=2, d=2, x0=[0.0, 0.0], A=[0.0, 0.0],
                 B=np.ones((2, 3)), sigma=np.eye(2))
+
+
+def test_array_dataclasses_compare_and_hash_by_identity():
+    # Field-wise == on array fields raised ValueError, and hash TypeError.
+    m = demo_triangular()
+    grid = uniform_grid(1.0, 3)
+    bundle = simulate_paths(m, grid, 2, 0)
+    values = [m, demo_triangular(), ou_as_general(m), grid, uniform_grid(1.0, 3), bundle,
+              PathBundle(grid, bundle.values, bundle.labels), path_stats(bundle, -1),
+              stationary_distribution(m), stationary_exists(m), classify(-np.eye(2)),
+              classify(-np.eye(2))]
+    assert len(set(values)) == len(values)
+    for i, x in enumerate(values):
+        assert [x == y for y in values] == [j == i for j in range(len(values))]
 
 
 def test_triangular_demo_model_valid():

@@ -195,5 +195,6 @@ def test_found_certificates_imply_stability():
         if d is not None:
             assert verify_diagonal_certificate(b, d)
             assert is_stable(b)[0]
+            assert screen_principal_submatrices(b).all_proper_principal_submatrices_stable
             found += 1
     assert found > 0

@@ -15,6 +15,7 @@ from oucausal import (
 )
 from oucausal import matkit
 from oucausal.errors import (
+    NonFiniteError,
     NoStationaryDistributionError,
     NotPositiveDefiniteError,
     PreconditionError,
@@ -115,6 +116,26 @@ def test_distribution_requires_existence():
         stationary_distribution(_model(np.array([[1.0]]), np.eye(1)))
     with pytest.raises(NoStationaryDistributionError):
         stationary_distribution(_model(-np.eye(2), np.array([[1.0], [0.0]])))
+
+
+def test_verdict_carries_the_law_iff_it_exists():
+    m = _model(np.array([[-1.0, 0.4], [0.2, -2.0]]), np.array([[1.0, 0.0], [0.5, 2.0]]),
+               a=np.array([0.3, -1.0]))
+    law = stationary_exists(m).law
+    expect = stationary_distribution(m)
+    assert np.array_equal(law.mean, expect.mean) and np.array_equal(law.cov, expect.cov)
+    assert stationary_exists(_model(np.array([[1.0]]), np.eye(1))).law is None
+    assert stationary_exists(_model(-np.eye(2), np.array([[1.0], [0.0]]))).law is None
+
+
+def test_covariance_overflow_keeps_the_verdict():
+    # G = 1e220 / (2e-200) I is beyond float64, while B is plainly stable.
+    m = _model(-1e-200 * np.eye(2), 1e110 * np.eye(2))
+    verdict = stationary_exists(m)
+    assert verdict.verdict is Verdict.EXISTS
+    assert verdict.b_stable and verdict.law is None
+    with pytest.raises(NonFiniteError, match="the stationary covariance overflows float64"):
+        stationary_distribution(m)
 
 
 def test_lyapunov_residual_and_definiteness_random():
