@@ -134,22 +134,14 @@ def cmd_stability(args) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["removed_set", "classification", "abscissa"])
-
-    def set_text(removed: frozenset[int]) -> str:
-        return "{" + ",".join(str(i) for i in sorted(removed)) + "}"
-
     if args.submatrices:
-        screen = stab.screen_principal_submatrices(model.B, tol=args.tol)
-        for removed, report in screen.entries:
-            writer.writerow([
-                set_text(removed),
-                report.classification.value,
-                repr(float(report.spectral_abscissa)),
-            ])
+        entries = stab.screen_principal_submatrices(model.B, tol=args.tol).entries
     else:
-        report = stab.classify(model.B, tol=args.tol)
+        entries = ((frozenset(), stab.classify(model.B, tol=args.tol)),)
+    for removed, report in entries:
         writer.writerow([
-            "{}", report.classification.value,
+            "{" + ",".join(str(i) for i in sorted(removed)) + "}",
+            report.classification.value,
             repr(float(report.spectral_abscissa)),
         ])
     return buffer.getvalue()

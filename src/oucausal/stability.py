@@ -23,14 +23,16 @@ when s exceeds the abscissa; Gershgorin row bounds bracket the search.
 Stacks of at most 256 floats, such as one matrix up to p=16, take two
 bisection steps per solve.
 
-Principal-submatrix screening factors B by the strongly connected
+One abscissa path serves `spectral_abscissa`, `classify` and
+principal-submatrix screening. It factors B by the strongly connected
 components of its dependence graph, found from a boolean transitive
 closure: a principal submatrix's spectrum is the union of its blocks'
 spectra, one block per component, so only the subsets of each component
 are bisected, Sum 2^|C| blocks instead of 2^p submatrices. A 1x1 block's
 abscissa is its diagonal entry, so a triangular B needs no bisection. The
 blocks of one size are bisected together, each with its own bracket, in
-chunks that bound memory.
+chunks that bound memory. A report is read from its abscissa alone; the
+certificate X comes only from `is_stable`.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
 tolerance band: exact imaginary-axis eigenvalues are not decidable in
@@ -65,24 +67,18 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """Three-way classification with the abscissa estimate and certificate.
+    """Three-way classification read from the spectral abscissa estimate.
 
-    `spectral_abscissa` is a bisection estimate accurate to `tol`. In a
-    submatrix screen it is the max of such estimates over the submatrix's
-    blocks, exact for 1x1 blocks, and for fast-path entries an upper BOUND
-    (see `screen_principal_submatrices`). `certificate` is the symmetric X
-    with B X + X B^T = -I from `solve_lyapunov`, present iff the report is
-    Stable and that solve succeeds. The solve fails only for a strongly
-    non-normal matrix, whose X overflows or is swamped by rounding; the
-    bisection in `classify` runs the same solver, so such a matrix usually
-    reads Unstable there. A screen's verdict comes from its blocks, so a
-    screen's Stable entry may lack a certificate.
+    `spectral_abscissa` is the max over the matrix's blocks, one per
+    strongly connected component, of a bisection estimate accurate to
+    `tol`, exact for 1x1 blocks; for fast-path screen entries it is an
+    upper BOUND (see `screen_principal_submatrices`). The Lyapunov
+    certificate X is not part of a report: `is_stable` returns it.
     """
 
     classification: Classification
     spectral_abscissa: float
     tol: float
-    certificate: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -213,6 +209,8 @@ def _square(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = matkit.as_matrix(b, name="B")
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"B must be square, got {a.shape}")
+    if not a.size:
+        raise DimensionError("B must be nonempty")
     if tol <= 0:
         raise DimensionError("tol must be positive")
     return a
@@ -275,41 +273,6 @@ def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
     return [0.5 * l + 0.5 * h for l, h in zip(lo, hi)]
 
 
-def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
-    """Max real part of the eigenvalues of B, to within +- tol, by bisection.
-
-    B - s I is stable iff s > abscissa, so each stability test halves the
-    Gershgorin bracket.
-    """
-    return _abscissae(_square(b, tol)[None], tol)[0]
-
-
-def _reports(stack: np.ndarray, abscissae: list[float], tol: float) -> list[StabilityReport]:
-    """Reports for the members of an (m, n, n) stack with known abscissae;
-    the Stable members get their certificates from one stacked solve."""
-    stable = [i for i, s in enumerate(abscissae) if s < -tol]
-    certificates = [None] * len(abscissae)
-    if stable:
-        units = np.broadcast_to(np.eye(stack.shape[1]), (len(stable),) + stack.shape[1:])
-        for i, (_, x) in zip(stable, solve_lyapunov_stack(stack[stable], units)):
-            certificates[i] = x
-    return [StabilityReport(
-        Classification.STABLE if s < -tol
-        else Classification.UNSTABLE if s > tol
-        else Classification.SEMISTABLE_NOT_STABLE, s, tol, x)
-        for s, x in zip(abscissae, certificates)]
-
-
-def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:
-    """Three-way stability classification of B.
-
-    Stable when the abscissa estimate is below -tol (with certificate),
-    Unstable above +tol, and SemistableNotStable inside the band.
-    """
-    a = _square(b, tol)[None]
-    return _reports(a, _abscissae(a, tol), tol)[0]
-
-
 def _gathered(a: np.ndarray, rows: list[list[int]]):
     """Stacks of the principal submatrices a[r, r] for index lists r of one
     length, of at most _STACK_FLOATS floats each, which bounds memory."""
@@ -361,6 +324,34 @@ def _screen_abscissae(a: np.ndarray, kept: list[list[int]], max_removed: int,
     return result
 
 
+def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
+    """Max real part of the eigenvalues of B, to within +- tol.
+
+    The max over B's blocks, one per strongly connected component, each
+    bisected (B - s I is stable iff s > abscissa, so each stability test
+    halves the Gershgorin bracket) or, when 1x1, read off exactly.
+    """
+    a = _square(b, tol)
+    return _screen_abscissae(a, [list(range(len(a)))], 0, tol)[0]
+
+
+def _report(abscissa: float, tol: float) -> StabilityReport:
+    return StabilityReport(
+        Classification.STABLE if abscissa < -tol
+        else Classification.UNSTABLE if abscissa > tol
+        else Classification.SEMISTABLE_NOT_STABLE, abscissa, tol)
+
+
+def classify(b, tol: float = DEFAULT_TOL) -> StabilityReport:
+    """Three-way stability classification of B from `spectral_abscissa`.
+
+    Stable when the abscissa estimate is below -tol, Unstable above +tol,
+    and SemistableNotStable inside the band. It equals the whole-matrix
+    entry of `screen_principal_submatrices(b)` bit for bit.
+    """
+    return _report(spectral_abscissa(b, tol), tol)
+
+
 def screen_principal_submatrices(
     b,
     max_size_removed: int | None = None,
@@ -377,13 +368,11 @@ def screen_principal_submatrices(
 
     Each entry's abscissa is the max over the blocks that the strongly
     connected components of B's graph cut it into (see `_screen_abscissae`),
-    and its classification follows from that abscissa as in `classify`. An
-    entry with one block, as every entry of a dense B is, equals `classify`
-    of its submatrix bit for bit, except that a 1x1 submatrix's abscissa is
-    its exact diagonal entry. The Stable entries of one size get their
-    certificates for the whole submatrix from one stacked solve, which
-    does not change their verdict: where it fails, as for a triangular B
-    with a huge off-diagonal entry, the entry is Stable without certificate.
+    and its classification follows from that abscissa as in `classify`. The
+    entry for the empty removal set equals `classify(b)` bit for bit. On a B
+    without zero entries every entry equals `classify` of its submatrix;
+    elsewhere a removal can split a component, which `classify` of the
+    submatrix reads as separate blocks, so the abscissae can differ within tol.
 
     Symmetric fast path: a symmetric stable matrix has only stable principal
     submatrices (eigenvalue interlacing), so when B is symmetric and stable
@@ -409,16 +398,10 @@ def screen_principal_submatrices(
     if use_fast_path and matkit.is_symmetric(a) and is_stable(a)[0]:
         base = classify(a, tol)
         if base.classification is Classification.STABLE:
-            bound = StabilityReport(Classification.STABLE, base.spectral_abscissa, tol, None)
-            entries = [(removed[0], base)] + [(rm, bound) for rm in removed[1:]]
-            return SubmatrixScreen(tuple(entries), True, fast_path=True)
+            return SubmatrixScreen(tuple((rm, base) for rm in removed), True, fast_path=True)
     kept = [[i for i in range(p) if i + 1 not in rm] for rm in removed]
-    abscissae = _screen_abscissae(a, kept, max_removed, tol)
-    reports = []
-    for _, rows in itertools.groupby(kept, len):
-        for stack in _gathered(a, list(rows)):
-            reports += _reports(stack, abscissae[len(reports):len(reports) + len(stack)], tol)
-    entries = tuple(zip(removed, reports))
+    entries = tuple((rm, _report(s, tol))
+                    for rm, s in zip(removed, _screen_abscissae(a, kept, max_removed, tol)))
     all_proper = all(rep.classification is Classification.STABLE for rm, rep in entries if rm)
     return SubmatrixScreen(entries, all_proper)
 

@@ -245,8 +245,8 @@ def test_indefinite_covariance_fails_describe_as_stationary(tmp_path, capsys, mo
 
 
 def test_describe_decides_stationarity_in_one_solve(tmp_path, capsys, monkeypatch):
-    # The bisection and the certificate solve with Q = I only; the
-    # stationarity solve is the one that carries sigma sigma^T != I.
+    # The bisection solves with Q = I only; the stationarity solve is the
+    # one that carries sigma sigma^T != I.
     doc = dict(DEMO, sigma=[[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
     calls = {"stationarity": 0, "is_stable": 0}
     solve, is_stable = stability.solve_lyapunov_stack, stability.is_stable

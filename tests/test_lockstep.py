@@ -176,10 +176,6 @@ def _same_entries(left, right):
         assert rm_l == rm_r
         assert rep_l.classification is rep_r.classification
         assert rep_l.spectral_abscissa == rep_r.spectral_abscissa
-        if rep_l.certificate is None:
-            assert rep_r.certificate is None
-        else:
-            assert np.array_equal(rep_l.certificate, rep_r.certificate)
 
 
 # ------------------------------------------------------------ stacked solver
@@ -249,13 +245,16 @@ def test_stacked_solves_equal_serial_reference(stack):
 @given(stack=_stacks)
 def test_stacked_abscissae_equal_serial_and_eigvals(stack):
     # Both bisection schedules, two steps per solve (small stacks) and one
-    # step per solve, must follow the plain serial bisection bit for bit.
+    # step per solve, must follow the plain serial bisection bit for bit;
+    # `spectral_abscissa` must follow it block by block, one block per
+    # strongly connected component.
     tol = stability.DEFAULT_TOL
     serial = [_reference_abscissa(b) for b in stack]
     for cutoff in (stability._SPECULATE_FLOATS, 0):
         with mock.patch.object(stability, "_SPECULATE_FLOATS", cutoff):
             assert stability._abscissae(stack, tol) == serial
-    assert [spectral_abscissa(b, tol) for b in stack] == serial
+    assert [spectral_abscissa(b, tol) for b in stack] == [
+        _reference_report(b, ())[1] for b in stack]
     for b, abscissa in zip(stack, serial):
         if _well_conditioned(b):
             assert abs(abscissa - np.max(np.linalg.eigvals(b).real)) <= tol
@@ -273,9 +272,12 @@ def test_members_leave_a_two_step_stack_at_different_solves():
 
 def test_bisection_step_cap_matches_serial_reference():
     # A bracket near the float64 maximum needs over 1000 halvings to reach
-    # tol, so both bisections stop at the 200-step cap.
+    # tol, so both bisections stop at the 200-step cap. B is triangular, so
+    # the whole-matrix bisection is called directly: `spectral_abscissa`
+    # would read its diagonal instead.
     b = np.array([[-1e308, 0.0], [5e307, -1e308]])
-    assert spectral_abscissa(b) == _reference_abscissa(b)
+    tol = stability.DEFAULT_TOL
+    assert stability._abscissae(b[None], tol) == [_reference_abscissa(b, tol)]
 
 
 # ----------------------------------------------------------------- screening
@@ -310,7 +312,11 @@ def _permuted_block_triangular(draw):
 @given(b=_permuted_block_triangular())
 def test_permuted_block_triangular_screen_matches_eigvals(b):
     tol = stability.DEFAULT_TOL
-    for removed, report in screen_principal_submatrices(b, use_fast_path=False).entries:
+    entries = screen_principal_submatrices(b, use_fast_path=False).entries
+    whole, alone = entries[0][1], classify(b)
+    assert (whole.classification, whole.spectral_abscissa) == (
+        alone.classification, alone.spectral_abscissa)
+    for removed, report in entries:
         sub = matkit.principal_submatrix(b, sorted(removed))
         truth = float(np.max(np.linalg.eigvals(sub).real))
         if _well_conditioned(sub):
@@ -319,26 +325,40 @@ def test_permuted_block_triangular_screen_matches_eigvals(b):
                 expected = (stability.Classification.STABLE if truth < 0
                             else stability.Classification.UNSTABLE)
                 assert report.classification is expected
-        solved = solve_lyapunov(sub, np.eye(len(sub)))
-        assert (report.certificate is not None) == (
-            report.classification is stability.Classification.STABLE and solved[0])
 
 
-def test_stable_entry_keeps_its_verdict_when_the_certificate_solve_fails():
-    # Two 1x1 components, so the whole matrix's abscissa is exactly -1. Its
-    # X has an entry near 1e400, so the whole-matrix solve fails; the entry
-    # stays Stable without certificate, and the 1x1 entries keep theirs.
+def test_triangular_b_whose_solve_overflows_reads_stable_everywhere(tmp_path, capsys):
+    # Two 1x1 components, so the abscissa is exactly -1 everywhere. X has an
+    # entry near 1e400, so every Lyapunov solve on the whole matrix fails,
+    # shifted or not; the verdicts come from the blocks and do not need one.
     b = np.array([[-1.0, 1e200], [0.0, -1.0]])
     assert solve_lyapunov(b, np.eye(2)) == (False, None)
     entries = dict(screen_principal_submatrices(b).entries)
-    whole = entries[frozenset()]
-    assert whole.classification is stability.Classification.STABLE
-    assert whole.spectral_abscissa == -1.0 and whole.certificate is None
-    for removed in ({1}, {2}):
+    for removed in ((), (1,), (2,)):
         report = entries[frozenset(removed)]
         assert report.classification is stability.Classification.STABLE
         assert report.spectral_abscissa == -1.0
-        assert np.array_equal(report.certificate, [[0.5]])
+    report = classify(b)
+    assert report.classification is stability.Classification.STABLE
+    assert report.spectral_abscissa == -1.0 and spectral_abscissa(b) == -1.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"p": 2, "d": 2, "x0": [0.0, 0.0], "A": [0.0, 0.0],
+                                "B": b.tolist(), "sigma": np.eye(2).tolist()}))
+    assert cli.main(["stability", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "{},Stable,-1.0"
+
+
+def test_triangular_b_needs_no_lyapunov_solve(tmp_path, capsys, monkeypatch):
+    # Every block of a triangular B is 1x1, so neither `classify` nor a screen
+    # runs the solver: the abscissa is the largest diagonal entry.
+    calls = []
+    solve = stability.solve_lyapunov_stack
+    monkeypatch.setattr(stability, "solve_lyapunov_stack",
+                        lambda b, q: calls.append(len(b)) or solve(b, q))
+    upper = np.triu(np.random.default_rng(3).standard_normal((5, 5))) - 2.0 * np.eye(5)
+    assert classify(upper).spectral_abscissa == np.max(np.diag(upper))
+    _cli_csv(tmp_path, _bidiagonal7(), capsys)
+    assert calls == []
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

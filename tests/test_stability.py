@@ -10,8 +10,8 @@ from oucausal import (
     spectral_abscissa,
     verify_diagonal_certificate,
 )
-from oucausal import matkit
-from oucausal.errors import TooLargeError
+from oucausal import controllability_rank, matkit
+from oucausal.errors import DimensionError, TooLargeError
 from util import gershgorin_stable
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])  # eigenvalues -1 +- i sqrt(3)
@@ -42,6 +42,16 @@ def test_minus_identity_certificate():
     assert np.allclose(cert, 0.5 * np.eye(4), atol=1e-14)
 
 
+@pytest.mark.parametrize("call", [
+    is_stable, spectral_abscissa, classify, screen_principal_submatrices,
+    diagonal_lyapunov_certificate, lambda b: controllability_rank(b, np.zeros((0, 1))),
+], ids=["is_stable", "spectral_abscissa", "classify", "screen_principal_submatrices",
+        "diagonal_lyapunov_certificate", "controllability_rank"])
+def test_empty_b_is_a_dimension_error(call):
+    with pytest.raises(DimensionError, match="B must be nonempty"):
+        call(np.zeros((0, 0)))
+
+
 # ---------------------------------------------------------- spectral abscissa
 
 def test_abscissa_rotating_pair():
@@ -58,10 +68,8 @@ def test_abscissa_zero_matrix_semistable():
 def test_classify_rotating():
     report = classify(ROTATING)
     assert report.classification is Classification.STABLE
-    assert report.certificate is not None
     report_neg = classify(-ROTATING)
     assert report_neg.classification is Classification.UNSTABLE
-    assert report_neg.certificate is None
 
 
 def test_bisection_monotonicity():
