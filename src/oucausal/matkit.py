@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    EmptyResultError,
     NonFiniteError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -193,22 +192,3 @@ def rank(m) -> int:
     sigma_max * max(rows, cols) * 2**-52 (numpy.linalg.matrix_rank)."""
     a = as_matrix(m, name="M")
     return int(np.linalg.matrix_rank(a))
-
-
-def principal_submatrix(m, removed) -> np.ndarray:
-    """Delete the listed rows and the identical columns (1-based indices).
-
-    The order of the surviving indices is preserved. Removing every index
-    raises EmptyResultError; an out-of-range index raises DimensionError.
-    """
-    a = as_matrix(m, name="M")
-    _require_square(a, "M")
-    n = a.shape[0]
-    rm = set(int(i) for i in removed)
-    for i in rm:
-        if not 1 <= i <= n:
-            raise DimensionError(f"removed index {i} outside 1..{n}")
-    if len(rm) == n:
-        raise EmptyResultError("removing every index leaves an empty matrix")
-    keep = [i for i in range(n) if i + 1 not in rm]
-    return a[np.ix_(keep, keep)]

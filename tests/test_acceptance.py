@@ -27,7 +27,7 @@ from oucausal import (
     uniform_grid,
 )
 from oucausal import matkit
-from util import gamma_by_quadrature, random_triangular
+from util import gamma_by_quadrature, principal_submatrix, random_triangular
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])
 
@@ -66,12 +66,12 @@ def test_criterion_01_counterexample_classification():
         report = classify(ROTATING)
         assert report.classification is Classification.STABLE
         assert abs(report.spectral_abscissa + 1.0) <= 1e-6
-        sub = matkit.principal_submatrix(ROTATING, {2})
+        sub = principal_submatrix(ROTATING, {2})
         assert classify(sub).classification is Classification.UNSTABLE
         neg = classify(-ROTATING)
         assert neg.classification is Classification.UNSTABLE
         assert abs(neg.spectral_abscissa - 1.0) <= 1e-6
-        neg_sub = matkit.principal_submatrix(-ROTATING, {2})
+        neg_sub = principal_submatrix(-ROTATING, {2})
         assert classify(neg_sub).classification is Classification.STABLE
 
 

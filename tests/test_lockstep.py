@@ -23,10 +23,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import eig
 from scipy.sparse.csgraph import connected_components
 
-from oucausal import OuModel, cli, classify, matkit, stability, stationary_distribution
+from oucausal import OuModel, cli, classify, stability, stationary_distribution
 from oucausal.stability import (
     screen_principal_submatrices, solve_lyapunov, solve_lyapunov_stack, spectral_abscissa,
 )
+from util import principal_submatrix
 
 # ----------------------------------------------------------- serial reference
 
@@ -317,7 +318,7 @@ def test_permuted_block_triangular_screen_matches_eigvals(b):
     assert (whole.classification, whole.spectral_abscissa) == (
         alone.classification, alone.spectral_abscissa)
     for removed, report in entries:
-        sub = matkit.principal_submatrix(b, sorted(removed))
+        sub = principal_submatrix(b, sorted(removed))
         truth = float(np.max(np.linalg.eigvals(sub).real))
         if _well_conditioned(sub):
             assert abs(report.spectral_abscissa - truth) <= tol

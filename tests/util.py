@@ -3,7 +3,9 @@
 import numpy as np
 
 from oucausal import OuModel, matkit, stability
-from oucausal.errors import NoStationaryDistributionError, PreconditionError
+from oucausal.errors import (
+    DimensionError, EmptyResultError, NoStationaryDistributionError, PreconditionError,
+)
 
 
 def demo_triangular(A=(1.0, 2.0, 3.0), diag=(-1.0, -2.0, -1.5),
@@ -28,6 +30,26 @@ def diag_dominant(rng: np.random.Generator, p: int, scale: float = 2.0) -> np.nd
     b = rng.uniform(-scale, scale, (p, p))
     b[np.arange(p), np.arange(p)] -= 0.5 + np.sum(np.abs(b), axis=1)
     return b
+
+
+def principal_submatrix(m, removed) -> np.ndarray:
+    """Delete the listed rows and the identical columns (1-based indices).
+
+    The order of the surviving indices is preserved. Removing every index
+    raises EmptyResultError; an out-of-range index raises DimensionError.
+    """
+    a = matkit.as_matrix(m, name="M")
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise DimensionError(f"M must be square, got {a.shape}")
+    rm = set(int(i) for i in removed)
+    for i in rm:
+        if not 1 <= i <= n:
+            raise DimensionError(f"removed index {i} outside 1..{n}")
+    if len(rm) == n:
+        raise EmptyResultError("removing every index leaves an empty matrix")
+    keep = [i for i in range(n) if i + 1 not in rm]
+    return a[np.ix_(keep, keep)]
 
 
 def random_triangular(rng: np.random.Generator, coincident: bool = False) -> np.ndarray:
