@@ -1,4 +1,4 @@
-"""Stability and semistability of square matrices, decided without eigenvalues.
+"""Stability and semistability of square matrices, decided by Lyapunov solves.
 
 One solver serves every decision: the scaled Newton iteration for the
 matrix sign function (Roberts 1971; Higham, Functions of Matrices, 2008,
@@ -17,20 +17,23 @@ from a Cholesky test of X, which rejects such an ill-conditioned X. X only
 has to pass a loose residual test that catches an iteration swamped by
 rounding (see `solve_lyapunov_stack`).
 
-The spectral abscissa (max real part of the eigenvalues) is found by
-bisecting on the shift s, using the fact that B - s I is stable exactly
-when s exceeds the abscissa; Gershgorin row bounds bracket the search.
-Stacks of at most 256 floats, such as one matrix up to p=16, take two
-bisection steps per solve.
+The spectral abscissa (max real part of the eigenvalues) is bracketed
+by stability tests of shifts s, since B - s I is stable exactly when s
+exceeds the abscissa; Gershgorin row bounds give the first bracket.
+numpy eigvals supplies a hint h, and one solve tests h +- 0.45 tol: when
+B - (h + 0.45 tol) I is stable and B - (h - 0.45 tol) I is not, the
+abscissa is certified to within tol. Otherwise the Gershgorin bracket
+is bisected, one solve per step. Either way the verdicts come from the
+sign function, never from eigvals, which a non-normal B can mislead.
 
 One abscissa path serves `spectral_abscissa`, `classify` and
 principal-submatrix screening. It factors B by the strongly connected
 components of its dependence graph, found from a boolean transitive
 closure: a principal submatrix's spectrum is the union of its blocks'
 spectra, one block per component, so only the subsets of each component
-are bisected, Sum 2^|C| blocks instead of 2^p submatrices. A 1x1 block's
-abscissa is its diagonal entry, so a triangular B needs no bisection. The
-blocks of one size are bisected together, each with its own bracket, in
+are estimated, Sum 2^|C| blocks instead of 2^p submatrices. A 1x1 block's
+abscissa is its diagonal entry, so a triangular B needs no solve. The
+blocks of one size are estimated together, each with its own bracket, in
 chunks that bound memory. A report is read from its abscissa alone; the
 certificate X comes only from `is_stable`.
 
@@ -55,8 +58,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SUBSET_BUDGET = 2**14
 _SIGN_MAX_ITER = 100  # far above the ~10-40 steps a decidable input needs
 _SWAMPED_SCORE = 1e4  # scaled residual of a swamped solve; see solve_lyapunov_stack
-_STACK_FLOATS = 2**20  # floats per stacked array in a screen, which bounds its memory
-_SPECULATE_FLOATS = 256  # stacks up to this size bisect two steps per solve
+_STACK_FLOATS = 2**20  # floats per gathered stack in a screen (twice that in the
+                       # hint check, two shifts per member), which bounds its memory
 
 
 class Classification(str, Enum):
@@ -70,9 +73,10 @@ class StabilityReport:
     """Three-way classification read from the spectral abscissa estimate.
 
     `spectral_abscissa` is the max over the matrix's blocks, one per
-    strongly connected component, of a bisection estimate accurate to
-    `tol`, exact for 1x1 blocks; for fast-path screen entries it is an
-    upper BOUND (see `screen_principal_submatrices`). The Lyapunov
+    strongly connected component, of an estimate accurate to `tol` (the
+    midpoint of a bracket set by stability tests), exact for 1x1 blocks;
+    for fast-path screen entries it is an upper BOUND (see
+    `screen_principal_submatrices`). The Lyapunov
     certificate X is not part of a report: `is_stable` returns it.
     """
 
@@ -225,51 +229,58 @@ def is_stable(b) -> tuple[bool, np.ndarray | None]:
     return solve_lyapunov(a, np.eye(a.shape[0]))
 
 
-def gershgorin_real_bounds(b: np.ndarray) -> tuple[float, float]:
-    """Bounds on the real parts of the eigenvalues from Gershgorin rows
-    (for an (m, n, n) stack, two lists with the bounds of each member)."""
-    d = np.diagonal(b, axis1=-2, axis2=-1)
-    radii = np.sum(np.abs(b), axis=-1) - np.abs(d)
-    return np.min(d - radii, axis=-1).tolist(), np.max(d + radii, axis=-1).tolist()
-
-
 def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
-    """`spectral_abscissa` of each member of an (m, n, n) stack: each keeps
-    its own bracket, and one stacked solve serves every unfinished member.
+    """`spectral_abscissa` of each member of an (m, n, n) stack, to within tol.
 
-    A stack of at most _SPECULATE_FLOATS floats costs call overhead more
-    than flops, so each solve also tests both possible next midpoints and
-    takes two bisection steps: the shifts, so the verdicts, are unchanged.
-    In a sweep of stack shapes (BENCH_0.json, threshold_sweep) this won up
-    to 288 floats and stopped paying between 400 and 576.
+    numpy eigvals of the whole stack gives each member a hint h, and one
+    stacked solve tests the shifts h +- delta, delta = 0.45 tol: when
+    B - (h + delta) I is stable and B - (h - delta) I is not, the abscissa
+    lies in that bracket, 0.9 tol wide. A verdict never rests on eigvals
+    alone, which can miss the abscissa of a non-normal B by far more than
+    tol (Trefethen and Embree, Spectra and Pseudospectra, 2005).
+
+    Every other member bisects its Gershgorin bracket, one stacked solve
+    per step for all of them, since B - s I is stable iff s exceeds the
+    abscissa. These are the members whose check fails, so their answer is
+    the plain bisection's, and those whose hint is not finite, lies
+    outside the bracket or is absorbed by rounding (h - delta = h + delta).
     """
-    lo, hi = gershgorin_real_bounds(stack)
-    hi = [h + 1.0 for h in hi]  # strictly above the abscissa, so B - hi I is stable
-    width = 3 if stack.size <= _SPECULATE_FLOATS else 1
+    d = np.diagonal(stack, axis1=1, axis2=2)
+    radii = np.abs(stack).sum(axis=2) - np.abs(d)
+    lo = (d - radii).min(axis=1).tolist()
+    # Strictly above the abscissa, so B - hi I is stable.
+    hi = ((d + radii).max(axis=1) + 1.0).tolist()
+    try:
+        hints = np.linalg.eigvals(stack).real.max(axis=1).tolist()
+    except np.linalg.LinAlgError:
+        hints = []
+    delta = 0.45 * tol
+    # The chain is also False for a NaN or infinite hint.
+    hinted = [i for i, h in enumerate(hints) if lo[i] < h - delta < h + delta < hi[i]]
     ident = np.eye(stack.shape[1])
-    units = np.broadcast_to(ident, (width * len(stack),) + stack.shape[1:])
-    active = list(range(len(lo)))
-    for _ in range(200 if width == 1 else 100):
-        active = [i for i in active if hi[i] - lo[i] > tol]
+
+    def stable(members, shifts):  # one stacked solve for members[k] - shifts[k] I
+        shifted = members - np.array(shifts)[:, None, None] * ident
+        units = np.broadcast_to(ident, shifted.shape)
+        return [ok for ok, _ in solve_lyapunov_stack(shifted, units)]
+
+    if hinted:
+        shifts = [hints[i] + s for i in hinted for s in (delta, -delta)]
+        verdicts = stable(np.repeat(stack[hinted], 2, axis=0), shifts)
+        for j, i in enumerate(hinted):
+            if verdicts[2 * j] and not verdicts[2 * j + 1]:
+                lo[i], hi[i] = shifts[2 * j + 1], shifts[2 * j]
+    active = [i for i in range(len(stack)) if hi[i] - lo[i] > tol]
+    for _ in range(200):
         if not active:
             break
         # Halving first keeps lo + hi from overflowing near the float64
         # maximum; otherwise the bits equal 0.5 * (lo + hi).
-        shifts = []
-        for i in active:
-            mid = 0.5 * lo[i] + 0.5 * hi[i]
-            shifts += [mid, 0.5 * lo[i] + 0.5 * mid, 0.5 * mid + 0.5 * hi[i]][:width]
-        # Skip the copy while every member bisects one step at a time.
-        whole = width == 1 and len(active) == len(stack)
-        members = stack if whole else stack[np.repeat(active, width)]
-        verdicts = solve_lyapunov_stack(members - np.array(shifts)[:, None, None] * ident,
-                                        units[:len(shifts)])
-        for j, i in enumerate(active):
-            ok = verdicts[width * j][0]
-            (hi if ok else lo)[i] = shifts[width * j]
-            k = width * j + (1 if ok else 2)  # the next midpoint, left or right
-            if width == 3 and hi[i] - lo[i] > tol:
-                (hi if verdicts[k][0] else lo)[i] = shifts[k]
+        shifts = [0.5 * lo[i] + 0.5 * hi[i] for i in active]
+        members = stack if len(active) == len(stack) else stack[active]
+        for ok, s, i in zip(stable(members, shifts), shifts, active):
+            (hi if ok else lo)[i] = s
+        active = [i for i in active if hi[i] - lo[i] > tol]
     return [0.5 * l + 0.5 * h for l, h in zip(lo, hi)]
 
 
@@ -302,7 +313,7 @@ def _screen_abscissae(a: np.ndarray, kept: list[list[int]], max_removed: int,
                       tol: float) -> list[float]:
     """Spectral abscissa of each principal submatrix a[k, k], k in `kept`, as
     the max over its blocks, one per strongly connected component C. Each
-    subset of C that leaves out at most `max_removed` indices is bisected
+    subset of C that leaves out at most `max_removed` indices is estimated
     once, all of one size in lockstep; a 1x1 block's abscissa is exact."""
     components = _components(a)
     by_size: dict[int, list[tuple[int, ...]]] = {}
@@ -328,8 +339,9 @@ def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
     """Max real part of the eigenvalues of B, to within +- tol.
 
     The max over B's blocks, one per strongly connected component, each
-    bisected (B - s I is stable iff s > abscissa, so each stability test
-    halves the Gershgorin bracket) or, when 1x1, read off exactly.
+    read off exactly when 1x1 and otherwise bracketed by stability tests
+    (B - s I is stable iff s > abscissa): one solve at an eigvals hint
+    +- 0.45 tol, then bisection where that check fails (see `_abscissae`).
     """
     a = _square(b, tol)
     return _screen_abscissae(a, [list(range(len(a)))], 0, tol)[0]
@@ -376,7 +388,7 @@ def screen_principal_submatrices(
 
     Symmetric fast path: a symmetric stable matrix has only stable principal
     submatrices (eigenvalue interlacing), so when B is symmetric and stable
-    all entries are marked Stable without per-submatrix bisection; their
+    all entries are marked Stable without per-submatrix solves; their
     reported abscissa is then the parent's abscissa, which interlacing makes
     a valid upper bound.
     """
@@ -394,7 +406,7 @@ def screen_principal_submatrices(
 
     removed = [frozenset(rm) for k in range(max_removed + 1)
                for rm in itertools.combinations(range(1, p + 1), k)]
-    # One solve decides whether the fast path can apply; only then is B bisected.
+    # One solve decides whether the fast path can apply; only then is B estimated.
     if use_fast_path and matkit.is_symmetric(a) and is_stable(a)[0]:
         base = classify(a, tol)
         if base.classification is Classification.STABLE:

@@ -1,11 +1,13 @@
 """The stacked (lockstep) sign solver and screen against the serial path.
 
-Every stacked result must equal, bit for bit, what the serial solver and
-bisection give for one matrix alone; a screen entry, what they give for
-each of its blocks, one per strongly connected component of B. That serial
-path is kept here, as `_reference_solve` and `_reference_abscissa`, so the
-stacked kernel and its stack-of-one case are both pinned to it. numpy
-eigvals is the independent oracle for the abscissae.
+Every stacked solve must equal, bit for bit, what the serial solver gives
+for one matrix alone. That serial path is kept here, as `_reference_solve`
+and `_reference_abscissa`, so the stacked kernel and its stack-of-one case
+are both pinned to it. An abscissa estimate a starts from a numpy eigvals
+hint, so its oracles are independent of eigvals: the serial solver must
+find B - (a + tol/2) I stable and B - (a - tol/2) I not, and on a
+well-conditioned B, a must lie within tol of mpmath's eigenvalues at 50
+digits. Where no hint is used, the estimate equals the serial bisection.
 """
 
 import csv
@@ -13,8 +15,8 @@ import io
 import itertools
 import json
 import math
-from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,45 @@ def _well_conditioned(b):
     return bool(np.all(kappa < 1e3))
 
 
+def _mp_abscissa(b):
+    """Max real part of B's eigenvalues from mpmath at 50 digits."""
+    if b.shape == (1, 1):  # mpmath's eig does not take a 1x1 matrix
+        return float(b[0, 0])
+    with mpmath.workdps(50):
+        values = mpmath.eig(mpmath.matrix(b.tolist()), left=False, right=False)
+        return float(max(mpmath.re(v) for v in values))
+
+
+def _brackets(b, abscissa, tol=stability.DEFAULT_TOL):
+    """Whether the serial solver finds B - (a + tol/2) I stable and
+    B - (a - tol/2) I not, for the estimate a."""
+    eye = np.eye(b.shape[0])
+    return (_reference_solve(b - (abscissa + tol / 2) * eye, eye)[0]
+            and not _reference_solve(b - (abscissa - tol / 2) * eye, eye)[0])
+
+
+def _check_estimate(b, abscissa, serial, exact=True, tol=stability.DEFAULT_TOL):
+    """Oracles of an abscissa estimate. On a well-conditioned B it passes
+    `_brackets` and, when `exact`, lies within tol of mpmath's eigenvalues.
+    Elsewhere the solver's verdicts need not be monotone in the shift, so it
+    passes `_brackets` or equals `serial`, the serial bisection's estimate."""
+    if _well_conditioned(b):
+        assert _brackets(b, abscissa, tol)
+        if exact:
+            assert abs(abscissa - _mp_abscissa(b)) <= tol
+    else:
+        assert abscissa == serial or _brackets(b, abscissa, tol)
+
+
+def _counting_solves(monkeypatch):
+    """Record the stack size of every `solve_lyapunov_stack` call."""
+    calls = []
+    solve = stability.solve_lyapunov_stack
+    monkeypatch.setattr(stability, "solve_lyapunov_stack",
+                        lambda b, q: calls.append(len(b)) or solve(b, q))
+    return calls
+
+
 _stacks = st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
     lambda mn: arrays(np.float64, (mn[0], mn[1], mn[1]),
                       elements=st.floats(-3.0, 3.0, allow_nan=False, width=64)))
@@ -245,30 +286,66 @@ def test_stacked_solves_equal_serial_reference(stack):
 @settings(max_examples=60, deadline=None)
 @given(stack=_stacks)
 def test_stacked_abscissae_equal_serial_and_eigvals(stack):
-    # Both bisection schedules, two steps per solve (small stacks) and one
-    # step per solve, must follow the plain serial bisection bit for bit;
-    # `spectral_abscissa` must follow it block by block, one block per
-    # strongly connected component.
+    # Each member's estimate is the same in the stack and alone, and passes
+    # the oracles, as does `spectral_abscissa`, which reads 1x1 blocks of
+    # B's strongly connected components exactly and estimates the others.
     tol = stability.DEFAULT_TOL
-    serial = [_reference_abscissa(b) for b in stack]
-    for cutoff in (stability._SPECULATE_FLOATS, 0):
-        with mock.patch.object(stability, "_SPECULATE_FLOATS", cutoff):
-            assert stability._abscissae(stack, tol) == serial
-    assert [spectral_abscissa(b, tol) for b in stack] == [
-        _reference_report(b, ())[1] for b in stack]
-    for b, abscissa in zip(stack, serial):
-        if _well_conditioned(b):
-            assert abs(abscissa - np.max(np.linalg.eigvals(b).real)) <= tol
+    stacked = stability._abscissae(stack, tol)
+    assert stacked == [stability._abscissae(b[None], tol)[0] for b in stack]
+    for b, abscissa in zip(stack, stacked):
+        _check_estimate(b, abscissa, _reference_abscissa(b))
+        _check_estimate(b, spectral_abscissa(b, tol), _reference_report(b, ())[1])
 
 
-def test_members_leave_a_two_step_stack_at_different_solves():
-    # Gershgorin brackets 3.5, 84 and 2001 wide need different numbers of
-    # solves, so the stack shrinks between solves.
-    stack = np.array([[[-1.0, 0.5], [0.0, 1.0]], [[0.0, 40.0], [-40.0, -3.0]],
-                      [[-2.0, 1e3], [0.0, -1.0]]])
-    assert stack.size <= stability._SPECULATE_FLOATS
-    assert stability._abscissae(stack, stability.DEFAULT_TOL) == [
-        _reference_abscissa(b) for b in stack]
+def test_members_leave_a_two_step_stack_at_different_solves(monkeypatch):
+    # The first solve tests two shifts per member. The dense member passes
+    # its check there. The other, -1.25 J (J all ones) with two entries
+    # changed, has a defective eigenvalue 0, which eigvals reads as 4e-16:
+    # the sign function finds B - (h + 0.45 tol) I not stable, so the
+    # member bisects alone and ends where the serial bisection does.
+    defective = np.full((5, 5), -1.25)
+    defective[1, 0], defective[2, 3] = 2.0, 0.0
+    dense = np.random.default_rng(5).standard_normal((5, 5)) - 2.0 * np.eye(5)
+    stack = np.array([defective, dense])
+    calls = _counting_solves(monkeypatch)
+    for b, abscissa in zip(stack, stability._abscissae(stack, stability.DEFAULT_TOL)):
+        _check_estimate(b, abscissa, _reference_abscissa(b))
+    assert calls[0] == 4 and len(calls) > 1 and set(calls[1:]) == {1}
+
+
+def test_non_normal_input_falls_back_to_bisection(monkeypatch):
+    # Q(-I + 10N)Q^T at p=10: every eigenvalue is -1, but eigvals reads the
+    # abscissa near -0.77, and the sign function, which does not certify
+    # that hint, bisects instead, from the Gershgorin bracket as the serial
+    # path does, so the answer is the serial one. It is not -1: no float64
+    # method reads -1 here (see ROADMAP).
+    q = np.linalg.qr(np.random.default_rng(10).standard_normal((10, 10)))[0]
+    b = q @ (-np.eye(10) + 10.0 * np.eye(10, k=1)) @ q.T
+    calls = _counting_solves(monkeypatch)
+    assert spectral_abscissa(b) == _reference_abscissa(b)
+    assert calls[0] == 2 and len(calls) > 1 and set(calls[1:]) == {1}
+
+
+def test_dense_screen_takes_one_solve_per_size_chunk(monkeypatch):
+    # Every hint of a dense p=10 screen is certified at once: one solve for
+    # each block size from 2 to 10 (1x1 blocks need none), each in one chunk.
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((10, 10)) / np.sqrt(10) - 1.5 * np.eye(10)
+    calls = _counting_solves(monkeypatch)
+    screen = screen_principal_submatrices(b, use_fast_path=False)
+    assert calls == [2 * math.comb(10, n) for n in range(10, 1, -1)]
+    assert len(screen.entries) == 2**10 - 1
+
+
+def test_hint_absorbed_by_rounding_bisects_as_serial_reference():
+    # Near the float64 maximum, h + 0.45 tol rounds to h, so the check
+    # cannot bracket the abscissa: both members bisect as the serial path.
+    tol = stability.DEFAULT_TOL
+    stack = np.array([[[-1e308, 1e307], [-1e307, -1e308]],
+                      [[-1e308, 3e307], [2e307, -9e307]]])
+    hints = np.linalg.eigvals(stack).real.max(axis=1)
+    assert np.all(np.isfinite(hints) & (hints + 0.45 * tol == hints))
+    assert stability._abscissae(stack, tol) == [_reference_abscissa(b, tol) for b in stack]
 
 
 def test_bisection_step_cap_matches_serial_reference():
@@ -284,11 +361,17 @@ def test_bisection_step_cap_matches_serial_reference():
 # ----------------------------------------------------------------- screening
 
 def test_submatrix_csv_equals_serial_reference(tmp_path, capsys):
-    # Each entry is the max over its blocks, one per strongly connected
-    # component, of the serial bisection, and exact on 1x1 blocks. Dense
-    # models are one component, so only their 1x1 rows are not bisected.
+    # Every entry keeps the serial reference's classification, and its
+    # abscissa passes the oracles on the submatrix. mpmath runs on every
+    # entry that leaves out at most two indices, which bounds its cost at p=9.
     for b in (_dense_mixed7(), _two_scc6(), _bidiagonal7(), _dense9()):
-        assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _reference_report)
+        rows = list(csv.reader(io.StringIO(_cli_csv(tmp_path, b, capsys))))
+        reference = list(csv.reader(io.StringIO(_serial_csv(b, _reference_report))))
+        assert [row[:2] for row in rows] == [row[:2] for row in reference]
+        for (removed, _, abscissa), (_, _, serial) in zip(rows[1:], reference[1:]):
+            removed = [int(i) for i in removed.strip("{}").split(",") if i]
+            _check_estimate(principal_submatrix(b, removed), float(abscissa), float(serial),
+                            exact=len(removed) <= 2)
     # A per-block `classify` loop (stacks of one) gives the same bytes.
     b = _dense_mixed7()
     assert _cli_csv(tmp_path, b, capsys) == _serial_csv(b, _classify_report)
@@ -352,10 +435,7 @@ def test_triangular_b_whose_solve_overflows_reads_stable_everywhere(tmp_path, ca
 def test_triangular_b_needs_no_lyapunov_solve(tmp_path, capsys, monkeypatch):
     # Every block of a triangular B is 1x1, so neither `classify` nor a screen
     # runs the solver: the abscissa is the largest diagonal entry.
-    calls = []
-    solve = stability.solve_lyapunov_stack
-    monkeypatch.setattr(stability, "solve_lyapunov_stack",
-                        lambda b, q: calls.append(len(b)) or solve(b, q))
+    calls = _counting_solves(monkeypatch)
     upper = np.triu(np.random.default_rng(3).standard_normal((5, 5))) - 2.0 * np.eye(5)
     assert classify(upper).spectral_abscissa == np.max(np.diag(upper))
     _cli_csv(tmp_path, _bidiagonal7(), capsys)
