@@ -337,25 +337,20 @@ def test_dense_screen_takes_one_solve_per_size_chunk(monkeypatch):
     assert len(screen.entries) == 2**10 - 1
 
 
-def test_hint_absorbed_by_rounding_bisects_as_serial_reference():
-    # Near the float64 maximum, h + 0.45 tol rounds to h, so the check
-    # cannot bracket the abscissa: both members bisect as the serial path.
+def test_bisection_step_cap_matches_serial_reference():
+    # A bracket near the float64 maximum needs over 1000 halvings to reach
+    # tol, so both bisections stop at the 200-step cap. There h + 0.45 tol
+    # rounds to the eigvals hint h, so no check can bracket the abscissa and
+    # every member bisects as the serial path does. The first member is
+    # triangular, so the whole-matrix estimate is called directly:
+    # `spectral_abscissa` would read its diagonal instead.
     tol = stability.DEFAULT_TOL
-    stack = np.array([[[-1e308, 1e307], [-1e307, -1e308]],
+    stack = np.array([[[-1e308, 0.0], [5e307, -1e308]],
+                      [[-1e308, 1e307], [-1e307, -1e308]],
                       [[-1e308, 3e307], [2e307, -9e307]]])
     hints = np.linalg.eigvals(stack).real.max(axis=1)
     assert np.all(np.isfinite(hints) & (hints + 0.45 * tol == hints))
     assert stability._abscissae(stack, tol) == [_reference_abscissa(b, tol) for b in stack]
-
-
-def test_bisection_step_cap_matches_serial_reference():
-    # A bracket near the float64 maximum needs over 1000 halvings to reach
-    # tol, so both bisections stop at the 200-step cap. B is triangular, so
-    # the whole-matrix bisection is called directly: `spectral_abscissa`
-    # would read its diagonal instead.
-    b = np.array([[-1e308, 0.0], [5e307, -1e308]])
-    tol = stability.DEFAULT_TOL
-    assert stability._abscissae(b[None], tol) == [_reference_abscissa(b, tol)]
 
 
 # ----------------------------------------------------------------- screening
