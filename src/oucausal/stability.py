@@ -277,8 +277,7 @@ def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
         # Halving first keeps lo + hi from overflowing near the float64
         # maximum; otherwise the bits equal 0.5 * (lo + hi).
         shifts = [0.5 * lo[i] + 0.5 * hi[i] for i in active]
-        members = stack if len(active) == len(stack) else stack[active]
-        for ok, s, i in zip(stable(members, shifts), shifts, active):
+        for ok, s, i in zip(stable(stack[active], shifts), shifts, active):
             (hi if ok else lo)[i] = s
         active = [i for i in active if hi[i] - lo[i] > tol]
     return [0.5 * l + 0.5 * h for l, h in zip(lo, hi)]

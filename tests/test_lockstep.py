@@ -7,7 +7,8 @@ are both pinned to it. An abscissa estimate a starts from a numpy eigvals
 hint, so its oracles are independent of eigvals: the serial solver must
 find B - (a + tol/2) I stable and B - (a - tol/2) I not, and on a
 well-conditioned B, a must lie within tol of mpmath's eigenvalues at 50
-digits. Where no hint is used, the estimate equals the serial bisection.
+digits. Where no hint is used or its check fails, the estimate equals the
+serial bisection.
 """
 
 import csv
@@ -230,7 +231,7 @@ def _well_conditioned(b):
 
 def _mp_abscissa(b):
     """Max real part of B's eigenvalues from mpmath at 50 digits."""
-    if b.shape == (1, 1):  # mpmath's eig does not take a 1x1 matrix
+    if b.shape == (1, 1):  # mpmath's eig returns eigenvectors too for a 1x1 matrix
         return float(b[0, 0])
     with mpmath.workdps(50):
         values = mpmath.eig(mpmath.matrix(b.tolist()), left=False, right=False)
@@ -315,7 +316,7 @@ def test_members_leave_a_two_step_stack_at_different_solves(monkeypatch):
 
 def test_non_normal_input_falls_back_to_bisection(monkeypatch):
     # Q(-I + 10N)Q^T at p=10: every eigenvalue is -1, but eigvals reads the
-    # abscissa near -0.77, and the sign function, which does not certify
+    # abscissa as -0.80, and the sign function, which does not certify
     # that hint, bisects instead, from the Gershgorin bracket as the serial
     # path does, so the answer is the serial one. It is not -1: no float64
     # method reads -1 here (see ROADMAP).
