@@ -162,19 +162,19 @@ def cmd_graph(args) -> str:
 def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> str:
     """CSV rows `path,t,<columns>` for every path and grid time, each value
     written as its shortest round-trip repr. Paths are formatted one at a
-    time, so only one path's cell strings are alive at once."""
+    time and each path's rows are joined at once, so only one path's cell
+    and row strings are alive at a time."""
     head = io.StringIO()
     csv.writer(head, lineterminator="\n").writerow(header)  # quotes odd labels
     width = columns.shape[2]
     times = [repr(t) + "," for t in grid_t.tolist()]
-    lines = [head.getvalue()[:-1]]
+    chunks = [head.getvalue()]
     for i, path in enumerate(columns):
         prefix = f"{i},"
         cells = map(repr, path.reshape(-1).tolist())
         rows = map(",".join, zip(*[cells] * width))  # `width` cells per row
-        lines += [prefix + t + row for t, row in zip(times, rows)]
-    lines.append("")
-    return "\n".join(lines)
+        chunks.append("".join([prefix + t + row + "\n" for t, row in zip(times, rows)]))
+    return "".join(chunks)
 
 
 def cmd_simulate(args) -> str:
@@ -202,7 +202,7 @@ def cmd_simulate(args) -> str:
             header = ["path", "t"] + list(model.labels)
             return _paths_csv(header, grid.t, bundle.values)
         states = _states(model, grid, args.paths, args.seed, args.method)
-    return _stats_json(grid, model.labels, args.paths, _final_stats(states, grid))
+    return _stats_json(grid, model.labels, args.paths, _final_stats(states, grid, args.paths))
 
 
 def _stats_json(grid, labels, n_paths: int, stats) -> str:

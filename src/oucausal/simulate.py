@@ -1,13 +1,14 @@
 """Path generation: exact Gaussian transitions for OU models, Euler stepping
 for OU and general SDEs, and coupled original-vs-pinned simulation.
 
-Randomness comes from a counter-based generator: per-path streams are
-derived by mixing (master seed, path index) through the SplitMix64
-finalizer, and each standard normal is produced by Box-Muller from two
-fresh 64-bit outputs. Draws are a pure function of (seed, stream, index),
-so results do not depend on execution order and are reproducible within a
-build. Bit-exact reproduction across platforms is not promised
-(transcendental functions differ); within-build determinism is.
+Randomness comes from one numpy generator per time step: step k draws
+from PCG64 seeded by the SeedSequence of (master seed, k), and its
+standard normals come from numpy's ziggurat sampler. Every scheme fills
+an (n_paths, count) block from that generator in one call, row i for
+path i, so a path's draws are a pure function of (seed, step, path) and
+do not depend on how many paths run beside it. `RngStream(seed, k)` is
+the same generator. Results are reproducible within a build and numpy
+version; bit-exact reproduction across platforms is not promised.
 
 Each scheme (exact OU, Euler OU, Euler for a general SDE, and the coupled
 pair) is written once, as a generator that yields the state at each grid
@@ -40,81 +41,46 @@ from .errors import (
 )
 from .models import GeneralSde, Intervention, OuModel, default_labels, intervene_ou
 
-_U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
-_TWO_NEG53 = 2.0**-53
-_BLOCK = 1 << 13  # normals per block of streams, so the temporaries stay in cache
+_MASK64 = 2**64 - 1
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function (Stafford mix 13), in place on a uint64 array."""
-    z ^= z >> _U64(30)
-    z *= _MIX1
-    z ^= z >> _U64(27)
-    z *= _MIX2
-    z ^= z >> _U64(31)
-    return z
+def _generator(seed: int, stream: int):
+    """The numpy generator of stream (seed, stream): PCG64 keyed by both."""
+    # Reached by attribute access, so commands that never simulate never
+    # import numpy.random (about 13 ms and 6 MB).
+    random = np.random
+    key = random.SeedSequence([int(seed) & _MASK64, int(stream) & _MASK64])
+    return random.Generator(random.PCG64(key))
 
 
-def _stream_origins(seed: int, stream_ids: np.ndarray) -> np.ndarray:
-    """Per-stream start states, well spread for distinct (seed, id)."""
-    s = _U64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        return _mix64(s + _GOLDEN * (stream_ids.astype(np.uint64) + _U64(1)))
-
-
-def _uniforms(origins: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Open-interval uniforms; element [..., s, k] is draw counters[..., 0, k]
-    of stream s."""
-    with np.errstate(over="ignore"):
-        raw = _mix64(origins[:, None] + _GOLDEN * (counters + _U64(1)))
-    raw >>= _U64(11)
-    u = raw + 0.5  # float64: the 53-bit integer converts exactly
-    u *= _TWO_NEG53
-    return u
-
-
-def _normals_from_origins(origins: np.ndarray, start: int, count: int) -> np.ndarray:
-    """(n_streams, count) standard normals, draws start..start+count-1.
-
-    Normal j of a stream consumes raw outputs 2j and 2j+1 (Box-Muller,
-    cosine branch), keeping draws a pure function of (stream, j).
-    """
-    j = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        counters = np.stack((_U64(2) * j, _U64(2) * j + _U64(1)))[:, None, :]
-    out = np.empty((origins.size, count))
-    rows = max(1, _BLOCK // max(count, 1))
-    for a in range(0, origins.size, rows):
-        u1, u2 = _uniforms(origins[a:a + rows], counters)
-        np.log(u1, out=u1)
-        u1 *= -2.0
-        np.sqrt(u1, out=u1)
-        u2 *= 2.0 * np.pi
-        np.cos(u2, out=u2)
-        np.multiply(u1, u2, out=out[a:a + rows])
-    return out
+def _step_normals(seed: int, k: int, n_paths: int, count: int) -> np.ndarray:
+    """(n_paths, count) standard normals of step k: row i is path i's draws,
+    so a path's draws do not depend on how many paths run beside it."""
+    return _generator(seed, k).standard_normal((n_paths, count))
 
 
 @dataclass(frozen=True)
 class RngStream:
     """One reproducible normal stream, identified by (seed, stream).
 
-    Streams with distinct ids are statistically independent; the same
-    (seed, stream) reproduces the identical sequence within one build.
+    Stream k is the generator that step k of every simulator draws from:
+    `RngStream(seed, k).normals(count, start=i * count)` is path i's noise
+    at step k. Streams with distinct ids are statistically independent; the
+    same (seed, stream) reproduces the identical sequence within one build.
     """
 
     seed: int
     stream: int
 
     def normals(self, count: int, start: int = 0) -> np.ndarray:
-        """Standard normals number start..start+count-1 of this stream."""
+        """Standard normals number start..start+count-1 of this stream.
+
+        The stream is drawn from its beginning, so this costs
+        O(start + count).
+        """
         if count < 0 or start < 0:
             raise DimensionError("count and start must be nonnegative")
-        origins = _stream_origins(self.seed, np.array([self.stream], dtype=np.uint64))
-        return _normals_from_origins(origins, start, count)[0]
+        return _generator(self.seed, self.stream).standard_normal(start + count)[start:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +219,9 @@ def _euler_step(x: np.ndarray, level: np.ndarray, speed: np.ndarray,
     return x + ((x - level) @ speed.T) * dt + noise
 
 
-def _brownian(origins: np.ndarray, k: int, d: int, dt: float) -> np.ndarray:
+def _brownian(seed: int, k: int, n_paths: int, d: int, dt: float) -> np.ndarray:
     """Brownian increments over step k: d normals per path, scaled by sqrt(dt)."""
-    return _normals_from_origins(origins, k * d, d) * np.sqrt(dt)
+    return _step_normals(seed, k, n_paths, d) * np.sqrt(dt)
 
 
 def _states(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
@@ -272,11 +238,11 @@ def _states(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
         raise DimensionError(f"unsupported model type {type(model).__name__}")
     else:
         steps = _exact_steps if method == "exact" else _euler_steps
-    return steps(model, grid.t, _stream_origins(seed, np.arange(n_paths, dtype=np.uint64)))
+    return steps(model, grid.t, n_paths, seed)
 
 
-def _exact_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
-    x = np.repeat(model.x0[None, :], origins.size, axis=0)
+def _exact_steps(model: OuModel, t: np.ndarray, n_paths: int, seed: int):
+    x = np.repeat(model.x0[None, :], n_paths, axis=0)
     yield x
     # np.diff of a linspace grid holds several values within rounding of
     # its step, so such a grid takes every transition over t_end / steps.
@@ -292,22 +258,22 @@ def _exact_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
             low = matkit.cholesky_pivots(q, matkit.pivot_limit(q))[0]
             cache[dt] = (f, g, low)
         f, g, low = cache[dt]
-        eta = _normals_from_origins(origins, k * model.p, model.p)
+        eta = _step_normals(seed, k, n_paths, model.p)
         x = x @ f.T + g + eta @ low.T
         yield x
 
 
-def _euler_steps(model: OuModel, t: np.ndarray, origins: np.ndarray):
-    x = np.repeat(model.x0[None, :], origins.size, axis=0)
+def _euler_steps(model: OuModel, t: np.ndarray, n_paths: int, seed: int):
+    x = np.repeat(model.x0[None, :], n_paths, axis=0)
     yield x
     for k in range(len(t) - 1):
         dt = float(t[k + 1] - t[k])
-        dw = _brownian(origins, k, model.d, dt)
+        dw = _brownian(seed, k, n_paths, model.d, dt)
         x = _euler_step(x, model.A, model.B, dt, dw @ model.sigma.T)
         yield x
 
 
-def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
+def _general_steps(sde: GeneralSde, t: np.ndarray, n_paths: int, seed: int):
     """Euler scheme for dX = a(X) dZ with Z = (t, W); a evaluated on all
     paths at once through the batched coefficient.
 
@@ -316,14 +282,14 @@ def _general_steps(sde: GeneralSde, t: np.ndarray, origins: np.ndarray):
     SimulationOverflowError names the first grid time where either happens.
     """
     n_brownian = sde.d - 1
-    x = np.repeat(sde.x0[None, :], origins.size, axis=0)
+    x = np.repeat(sde.x0[None, :], n_paths, axis=0)
     yield x
-    dz = np.empty((origins.size, sde.d, 1))
+    dz = np.empty((n_paths, sde.d, 1))
     for k in range(len(t) - 1):
         dt = float(t[k + 1] - t[k])
         dz[:, 0, 0] = dt
         if n_brownian > 0:
-            dz[:, 1:, 0] = _brownian(origins, k, n_brownian, dt)
+            dz[:, 1:, 0] = _brownian(seed, k, n_paths, n_brownian, dt)
         try:
             coef = sde.coefs_at(x)
         except NonFiniteError:
@@ -347,8 +313,9 @@ def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
     X_{k+1} = X_k + B (X_k - A) dt_k + sigma dW_k; for a GeneralSde it
     applies X_{k+1} = X_k + a(X_k) dZ_k with dZ_k = (dt_k, dW_k).
 
-    Path i draws from stream (seed, i), so output is independent of
-    execution order.
+    Step k draws from stream (seed, k) and path i takes row i of that
+    step's draws, so a path's draws do not depend on how many paths run
+    beside it.
     """
     states = _states(model, grid, n_paths, seed, method)
     values = np.empty((n_paths, len(grid), model.p))
@@ -367,7 +334,6 @@ def _coupled_states(model: OuModel, iv: Intervention, grid: TimeGrid,
     _validate_run(grid, n_paths)
     reduced, record = intervene_ou(model, iv)
     keep = [i for i in range(model.p) if i != iv.m - 1]
-    origins = _stream_origins(seed, np.arange(n_paths, dtype=np.uint64))
     t = grid.t
 
     def steps():
@@ -376,7 +342,7 @@ def _coupled_states(model: OuModel, iv: Intervention, grid: TimeGrid,
         for k in range(len(t)):
             if k > 0:
                 dt = float(t[k] - t[k - 1])
-                noise = _brownian(origins, k - 1, model.d, dt) @ model.sigma.T
+                noise = _brownian(seed, k - 1, n_paths, model.d, dt) @ model.sigma.T
                 # Slicing the full-model noise keeps the shared-noise
                 # coordinates bit-identical between the two recursions.
                 x = _euler_step(x, model.A, model.B, dt, noise)
@@ -416,11 +382,15 @@ def _coupled_paths(model: OuModel, iv: Intervention, grid: TimeGrid,
     return values
 
 
+def _check_stats_paths(n_paths: int) -> None:
+    if n_paths < 2:
+        raise DimensionError("path statistics require n_paths >= 2")
+
+
 def _sample_stats(x: np.ndarray) -> PathStats:
     """Unbiased mean and covariance across the rows of x (n_paths, p)."""
     n_paths = x.shape[0]
-    if n_paths < 2:
-        raise DimensionError("path statistics require n_paths >= 2")
+    _check_stats_paths(n_paths)
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n_paths - 1)
@@ -428,10 +398,12 @@ def _sample_stats(x: np.ndarray) -> PathStats:
     return PathStats(mean, cov, se)
 
 
-def _final_stats(states, grid: TimeGrid) -> PathStats:
+def _final_stats(states, grid: TimeGrid, n_paths: int) -> PathStats:
     """`path_stats(bundle, -1)` of the run a stepping generator describes,
     holding only the current state, so memory is O(n_paths * p) however
-    long the grid is. Overflow is still checked at every grid time."""
+    long the grid is. Overflow is still checked at every grid time. Fewer
+    than two paths are rejected before the first step."""
+    _check_stats_paths(n_paths)
     return _sample_stats(_drive(states, grid))
 
 

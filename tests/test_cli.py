@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
-from oucausal import cli, stability, stationary
+from oucausal import cli, simulate, stability, stationary
 from oucausal.errors import NotPositiveDefiniteError
 from oucausal.modelfile import load_model_file
 from oucausal.models import intervene_seq
@@ -391,6 +391,44 @@ def test_simulate_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
+@pytest.mark.parametrize("flags", [("--stats-only",), ("--coupled", "--stats-only")])
+def test_simulate_stats_only_one_path_rejected_before_any_step(
+        tmp_path, monkeypatch, capsys, flags):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("no step may run")
+
+    monkeypatch.setattr(simulate, "_step_normals", counted)
+    path = write_model(tmp_path, PINNED_DEMO)
+    code = cli.main(["simulate", path, *flags, "--paths", "1", "--steps", "200000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: path statistics require n_paths >= 2\n"
+    assert calls == []
+
+
+def test_analysis_commands_do_not_import_numpy_random(tmp_path):
+    # numpy.random costs start-up time and memory; only simulate needs it.
+    path = write_model(tmp_path, DEMO)
+    script = (
+        "import os, sys\n"
+        "import numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "from oucausal import cli\n"
+        "codes = [cli.main(['describe', sys.argv[1], '-o', os.devnull]),\n"
+        "         cli.main(['stability', sys.argv[1], '--submatrices', '-o', os.devnull])]\n"
+        "print(codes, before, 'numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, path],
+                         capture_output=True, text=True)
+    codes, before, after = out.stdout.rsplit(" ", 2)
+    assert codes == "[0, 0]", out.stderr
+    assert after.strip() == before
 
 
 def _csv_writer_reference(header, grid_t, columns):

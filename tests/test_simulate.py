@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import expm
 
 from oucausal import (
@@ -22,7 +23,7 @@ from oucausal import (
     uniform_grid,
 )
 from oucausal import matkit, simulate
-from oucausal.simulate import _brownian, _stream_origins
+from oucausal.simulate import _brownian
 from oucausal.errors import (
     DimensionError,
     EmptyGridError,
@@ -75,6 +76,76 @@ def test_rng_stream_moments_and_independence():
     assert abs(x.var() - 1.0) < 0.02
     y = RngStream(7, 1).normals(200_000)
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
+
+
+def _layout_runs():
+    # (name, run(n_paths) -> values): every scheme that draws step normals.
+    m = demo_triangular(x0=(0.2, -0.4, 1.0))
+    rng = np.random.default_rng(31)
+    wide = OuModel(p=3, d=5, x0=[0.1, 0.0, -0.2], A=[1.0, 0.0, -1.0],
+                   B=gershgorin_stable(rng, 3), sigma=rng.uniform(-1, 1, (3, 5)))
+    grid = uniform_grid(0.9, 12)
+    return {
+        "exact": lambda n: simulate_paths(m, grid, n, 21, method="exact").values,
+        "euler": lambda n: simulate_paths(wide, grid, n, 21, method="euler").values,
+        "general_euler": lambda n: simulate_paths(ou_as_general(wide), grid, n, 21,
+                                                  method="euler").values,
+        "coupled": lambda n: simulate._coupled_paths(wide, Intervention(2, 0.5),
+                                                     grid, n, 21),
+    }
+
+
+@pytest.mark.parametrize("scheme", list(_layout_runs()))
+def test_first_paths_do_not_depend_on_path_count(scheme):
+    run = _layout_runs()[scheme]
+    many = run(37)
+    for n in (2, 36):
+        assert np.array_equal(run(n), many[:n])
+    # The draws of a one-path run are the same, but numpy computes a
+    # one-row matrix product with a different BLAS kernel, so its states
+    # may differ from path 0 of a larger run in the last bits.
+    assert np.allclose(run(1), many[:1], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("scheme", list(_layout_runs()))
+def test_rng_stream_is_the_step_noise_of_each_path(scheme, monkeypatch):
+    draws = []
+
+    def spy(seed, k, n_paths, count):
+        z = step_normals(seed, k, n_paths, count)
+        draws.append((seed, k, z.copy()))
+        return z
+
+    step_normals = simulate._step_normals
+    monkeypatch.setattr(simulate, "_step_normals", spy)
+    _layout_runs()[scheme](4)
+    assert [k for _, k, _ in draws] == list(range(12))
+    for seed, k, z in draws:
+        count = z.shape[1]
+        assert count == (3 if scheme == "exact" else 5)
+        for i in range(4):
+            assert np.array_equal(z[i], RngStream(seed, k).normals(count, start=i * count))
+
+
+def test_euler_first_step_is_rng_stream_zero():
+    # With B = 0, sigma = I, x0 = 0 and dt = 1 the first Euler state is the
+    # step-0 noise itself.
+    m = OuModel(p=2, d=2, x0=[0.0, 0.0], A=[0.0, 0.0], B=np.zeros((2, 2)),
+                sigma=np.eye(2))
+    values = simulate_paths(m, uniform_grid(1.0, 1), 3, seed=5, method="euler").values
+    for i in range(3):
+        assert np.array_equal(values[i, 1], RngStream(5, 0).normals(2, start=2 * i))
+
+
+def test_step_normals_are_standard_normal_and_uncorrelated():
+    # 60 steps of 2000 paths: 120,000 pooled draws.
+    z = np.stack([simulate._step_normals(2024, k, 2000, 1)[:, 0] for k in range(60)],
+                 axis=1)
+    assert stats.kstest(z.ravel(), stats.norm.cdf).pvalue > 1e-3
+    across_steps = np.corrcoef(z[:, :-1].ravel(), z[:, 1:].ravel())[0, 1]
+    across_paths = np.corrcoef(z[:-1].ravel(), z[1:].ravel())[0, 1]
+    assert abs(across_steps) < 0.01
+    assert abs(across_paths) < 0.01
 
 
 # ------------------------------------------------------------ exact transition
@@ -334,7 +405,6 @@ def test_general_euler_nonfinite_coefficient_at_x0():
 # path takes its own matrix-vector step.
 def _reference_general_euler(coef, p, d, x0, grid, n_paths, seed):
     t = grid.t
-    origins = _stream_origins(seed, np.arange(n_paths, dtype=np.uint64))
     x = np.repeat(np.asarray(x0, dtype=float)[None, :], n_paths, axis=0)
     values = [x]
     dz = np.empty((n_paths, d))
@@ -342,7 +412,7 @@ def _reference_general_euler(coef, p, d, x0, grid, n_paths, seed):
         dt = float(t[k + 1] - t[k])
         dz[:, 0] = dt
         if d > 1:
-            dz[:, 1:] = _brownian(origins, k, d - 1, dt)
+            dz[:, 1:] = _brownian(seed, k, n_paths, d - 1, dt)
         x = x.copy()
         for i in range(n_paths):
             x[i] = x[i] + matkit.as_matrix(coef(x[i]), p, d, "coef(x)") @ dz[i]
