@@ -426,6 +426,7 @@ def test_analysis_commands_do_not_import_numpy_random(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", script, path],
                          capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     codes, before, after = out.stdout.rsplit(" ", 2)
     assert codes == "[0, 0]", out.stderr
     assert after.strip() == before
