@@ -33,13 +33,15 @@ from .errors import (
 )
 from .modelfile import dumps_model, load_model_file, resolve_coordinate
 from .models import Intervention, OuModel, dependence_graph, intervene_seq
-from .simulate import (
-    _coupled_paths,
-    _coupled_states,
-    _final_stats,
-    _states,
-    simulate_paths,
-    uniform_grid,
+from .simulate import run, uniform_grid
+
+# (error classes, exit code); the first row that matches an error wins.
+_EXIT_CODES = (
+    (ModelFileError, 2),
+    ((DimensionError, NonFiniteError), 3),
+    ((SingularReducedMatrixError, DuplicateInterventionError, BadCoordinateError), 4),
+    (SimulationOverflowError, 5),
+    ((OuCausalError, MemoryError), 1),
 )
 
 
@@ -180,29 +182,23 @@ def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> st
 def cmd_simulate(args) -> str:
     model, file_ivs = load_model_file(args.model)
     grid = uniform_grid(args.t, args.steps)
-
+    iv = None
     if args.coupled:
         if len(file_ivs) != 1:
             raise ModelFileError(
                 "--coupled needs exactly one intervention in the model file's "
                 f"'interventions' list, found {len(file_ivs)}"
             )
-        if not args.stats_only:
-            header = (["path", "t"] + list(model.labels)
-                      + [f"D{i}" for i in range(1, model.p + 1)])
-            columns = _coupled_paths(model, file_ivs[0], grid, args.paths, args.seed)
-            return _paths_csv(header, grid.t, columns)
-        states = _coupled_states(model, file_ivs[0], grid, args.paths, args.seed,
-                                 with_x=False)
-    else:
-        if file_ivs:
-            model, _ = intervene_seq(model, file_ivs)
-        if not args.stats_only:
-            bundle = simulate_paths(model, grid, args.paths, args.seed, method=args.method)
-            header = ["path", "t"] + list(model.labels)
-            return _paths_csv(header, grid.t, bundle.values)
-        states = _states(model, grid, args.paths, args.seed, args.method)
-    return _stats_json(grid, model.labels, args.paths, _final_stats(states, grid, args.paths))
+        iv = file_ivs[0]
+    elif file_ivs:
+        model, _ = intervene_seq(model, file_ivs)
+    result = run(model, grid, args.paths, args.seed, args.method, iv, args.stats_only)
+    if args.stats_only:
+        return _stats_json(grid, model.labels, args.paths, result)
+    header = ["path", "t", *model.labels]
+    if args.coupled:
+        header += [f"D{i}" for i in range(1, model.p + 1)]
+    return _paths_csv(header, grid.t, result)
 
 
 def _stats_json(grid, labels, n_paths: int, stats) -> str:
@@ -275,25 +271,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.handler(args)
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SingularReducedMatrixError, DuplicateInterventionError,
-            BadCoordinateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SimulationOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except OuCausalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
+    except (OuCausalError, MemoryError) as exc:  # the union of _EXIT_CODES
+        code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

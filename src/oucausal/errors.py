@@ -25,10 +25,6 @@ class NotPositiveDefiniteError(OuCausalError):
     """A Cholesky pivot fell below the scale-aware threshold."""
 
 
-class EmptyResultError(OuCausalError):
-    """An operation would produce an empty (0 x 0) matrix."""
-
-
 class BadCoordinateError(OuCausalError):
     """A 1-based coordinate index is outside the model's range."""
 

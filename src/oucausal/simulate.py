@@ -16,13 +16,16 @@ time. Every scheme steps all paths together: the general-SDE Euler step
 evaluates the batched coefficient `GeneralSde.batch_coef` once per step,
 and the exact sampler computes one transition per distinct step length,
 which on a uniform grid (`uniform_grid`, or any `linspace` from 0) is one
-transition for the whole run. `_drive`
-runs a scheme and checks every state for overflow as it arrives.
-`simulate_paths` and `coupled_intervention_diff` store every state;
-`_final_stats` (behind `simulate --stats-only`) keeps only the current one,
-so its memory is O(n_paths * p) whatever the number of steps. The coupled
-recursion yields X and Y - X together, so `simulate --coupled` takes one
-pass.
+transition for the whole run. The coupled recursion yields X and Y - X
+side by side, so one pass gives both. `_drive` runs a scheme and checks
+every state for overflow as it arrives.
+
+`run` is the one simulation pass: it validates the inputs, picks the
+scheme and drives it, then returns either every state or, for
+`simulate --stats-only`, the statistics of the final one, holding only the
+current state so that memory is O(n_paths * p) whatever the number of
+steps. `simulate_paths` and the CLI call it; `coupled_intervention_diff`
+drives the coupled scheme itself to store only the Y - X half.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ from .errors import (
     NonPositiveStepError,
     SimulationOverflowError,
 )
-from .models import GeneralSde, Intervention, OuModel, default_labels, intervene_ou
+from .models import (GeneralSde, Intervention, InterventionRecord, OuModel, default_labels,
+                     intervene_ou)
 
 _MASK64 = 2**64 - 1
+_STATS_PATHS = "path statistics require n_paths >= 2"
 
 
 def _generator(seed: int, stream: int):
@@ -181,11 +186,6 @@ def exact_transition(model: OuModel, t: float) -> tuple[np.ndarray, np.ndarray, 
     return f, g, q
 
 
-def _validate_run(grid: TimeGrid, n_paths: int) -> None:
-    if n_paths < 1:
-        raise DimensionError("n_paths must be >= 1")
-
-
 def _drive(states, grid: TimeGrid, values: np.ndarray | None = None) -> np.ndarray:
     """Run a stepping generator over the grid and return its final state.
 
@@ -222,23 +222,6 @@ def _euler_step(x: np.ndarray, level: np.ndarray, speed: np.ndarray,
 def _brownian(seed: int, k: int, n_paths: int, d: int, dt: float) -> np.ndarray:
     """Brownian increments over step k: d normals per path, scaled by sqrt(dt)."""
     return _step_normals(seed, k, n_paths, d) * np.sqrt(dt)
-
-
-def _states(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
-            seed: int, method: str):
-    """Validate a run of `simulate_paths` and return its stepping generator."""
-    _validate_run(grid, n_paths)
-    if method not in ("exact", "euler"):
-        raise DimensionError(f"method must be 'exact' or 'euler', got {method!r}")
-    if isinstance(model, GeneralSde):
-        if method != "euler":
-            raise DimensionError("the exact method requires an OuModel")
-        steps = _general_steps
-    elif not isinstance(model, OuModel):
-        raise DimensionError(f"unsupported model type {type(model).__name__}")
-    else:
-        steps = _exact_steps if method == "exact" else _euler_steps
-    return steps(model, grid.t, n_paths, seed)
 
 
 def _exact_steps(model: OuModel, t: np.ndarray, n_paths: int, seed: int):
@@ -303,6 +286,65 @@ def _general_steps(sde: GeneralSde, t: np.ndarray, n_paths: int, seed: int):
         yield x
 
 
+def _coupled_steps(model: OuModel, reduced: OuModel, record: InterventionRecord,
+                   t: np.ndarray, n_paths: int, seed: int):
+    """X and Y - X side by side (see `coupled_intervention_diff`); `reduced`
+    and `record` are `intervene_ou(model, iv)`, computed by the caller so
+    that a bad intervention is reported before anything is allocated."""
+    keep = [i - 1 for i in record.surviving]
+    x = np.repeat(model.x0[None, :], n_paths, axis=0)
+    u = x[:, keep]
+    for k in range(len(t)):
+        if k > 0:
+            dt = float(t[k] - t[k - 1])
+            noise = _brownian(seed, k - 1, n_paths, model.d, dt) @ model.sigma.T
+            # Slicing the full-model noise keeps the shared-noise
+            # coordinates bit-identical between the two recursions.
+            x = _euler_step(x, model.A, model.B, dt, noise)
+            u = _euler_step(u, reduced.A, reduced.B, dt, noise[:, keep])
+        yield np.hstack((x, record.lift(u) - x))
+
+
+def run(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int, seed: int,
+        method: str = "exact", iv: Intervention | None = None,
+        stats_only: bool = False) -> np.ndarray | PathStats:
+    """One simulation pass on the grid.
+
+    Without `iv` this is the run `simulate_paths` describes. With `iv` it
+    is the coupled Euler recursion of `coupled_intervention_diff` (method
+    is not read), and each state holds X and Y - X side by side. Returns
+    the states at every grid time, shape (n_paths, len(grid), p), or 2p
+    with `iv`. With `stats_only` it returns instead the `PathStats` of the
+    final state (of Y - X for a coupled run), holding only the current
+    state, so memory is O(n_paths * p) however long the grid is. Overflow
+    is checked at every grid time either way. Every input, the
+    intervention included, is validated before the first allocation or
+    step.
+    """
+    if n_paths < 1:
+        raise DimensionError("n_paths must be >= 1")
+    if iv is not None:
+        states = _coupled_steps(model, *intervene_ou(model, iv), grid.t, n_paths, seed)
+    elif method not in ("exact", "euler"):
+        raise DimensionError(f"method must be 'exact' or 'euler', got {method!r}")
+    elif isinstance(model, GeneralSde):
+        if method != "euler":
+            raise DimensionError("the exact method requires an OuModel")
+        states = _general_steps(model, grid.t, n_paths, seed)
+    elif not isinstance(model, OuModel):
+        raise DimensionError(f"unsupported model type {type(model).__name__}")
+    else:
+        steps = _exact_steps if method == "exact" else _euler_steps
+        states = steps(model, grid.t, n_paths, seed)
+    if stats_only:
+        if n_paths < 2:
+            raise DimensionError(_STATS_PATHS)
+        return _sample_stats(_drive(states, grid)[:, -model.p:])
+    values = np.empty((n_paths, len(grid), model.p if iv is None else 2 * model.p))
+    _drive(states, grid, values)
+    return values
+
+
 def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
                    seed: int, method: str = "exact") -> PathBundle:
     """Simulate n_paths trajectories on the grid.
@@ -317,40 +359,9 @@ def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
     step's draws, so a path's draws do not depend on how many paths run
     beside it.
     """
-    states = _states(model, grid, n_paths, seed, method)
-    values = np.empty((n_paths, len(grid), model.p))
-    _drive(states, grid, values)
+    values = run(model, grid, n_paths, seed, method)
     labels = model.labels if isinstance(model, OuModel) else default_labels(model.p)
     return PathBundle(grid, values, labels)
-
-
-def _coupled_states(model: OuModel, iv: Intervention, grid: TimeGrid,
-                    n_paths: int, seed: int, with_x: bool):
-    """Validate a coupled run and return its stepping generator.
-
-    The states are Y - X, or X and Y - X side by side when `with_x` is set
-    (see `coupled_intervention_diff`).
-    """
-    _validate_run(grid, n_paths)
-    reduced, record = intervene_ou(model, iv)
-    keep = [i for i in range(model.p) if i != iv.m - 1]
-    t = grid.t
-
-    def steps():
-        x = np.repeat(model.x0[None, :], n_paths, axis=0)
-        u = x[:, keep].copy()
-        for k in range(len(t)):
-            if k > 0:
-                dt = float(t[k] - t[k - 1])
-                noise = _brownian(seed, k - 1, n_paths, model.d, dt) @ model.sigma.T
-                # Slicing the full-model noise keeps the shared-noise
-                # coordinates bit-identical between the two recursions.
-                x = _euler_step(x, model.A, model.B, dt, noise)
-                u = _euler_step(u, reduced.A, reduced.B, dt, noise[:, keep])
-            diff = record.lift(u) - x
-            yield np.hstack((x, diff)) if with_x else diff
-
-    return steps()
 
 
 def coupled_intervention_diff(model: OuModel, iv: Intervention, grid: TimeGrid,
@@ -364,47 +375,24 @@ def coupled_intervention_diff(model: OuModel, iv: Intervention, grid: TimeGrid,
     construction. Rerunning `simulate_paths(model, ..., method="euler")`
     with the same seed reproduces the X component exactly.
     """
-    states = _coupled_states(model, iv, grid, n_paths, seed, with_x=False)
+    if n_paths < 1:
+        raise DimensionError("n_paths must be >= 1")
+    states = _coupled_steps(model, *intervene_ou(model, iv), grid.t, n_paths, seed)
     diffs = np.empty((n_paths, len(grid), model.p))
-    _drive(states, grid, diffs)
+    _drive((s[:, model.p:] for s in states), grid, diffs)
     return PathBundle(grid, diffs, model.labels)
-
-
-def _coupled_paths(model: OuModel, iv: Intervention, grid: TimeGrid,
-                   n_paths: int, seed: int) -> np.ndarray:
-    """X and Y - X side by side, shape (n_paths, len(grid), 2p), from one
-    coupled pass: the X half equals `simulate_paths(model, ...,
-    method="euler").values` and the Y - X half equals
-    `coupled_intervention_diff(...).values`, bit for bit."""
-    states = _coupled_states(model, iv, grid, n_paths, seed, with_x=True)
-    values = np.empty((n_paths, len(grid), 2 * model.p))
-    _drive(states, grid, values)
-    return values
-
-
-def _check_stats_paths(n_paths: int) -> None:
-    if n_paths < 2:
-        raise DimensionError("path statistics require n_paths >= 2")
 
 
 def _sample_stats(x: np.ndarray) -> PathStats:
     """Unbiased mean and covariance across the rows of x (n_paths, p)."""
     n_paths = x.shape[0]
-    _check_stats_paths(n_paths)
+    if n_paths < 2:
+        raise DimensionError(_STATS_PATHS)
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n_paths - 1)
     se = np.sqrt(np.diag(cov) / n_paths)
     return PathStats(mean, cov, se)
-
-
-def _final_stats(states, grid: TimeGrid, n_paths: int) -> PathStats:
-    """`path_stats(bundle, -1)` of the run a stepping generator describes,
-    holding only the current state, so memory is O(n_paths * p) however
-    long the grid is. Overflow is still checked at every grid time. Fewer
-    than two paths are rejected before the first step."""
-    _check_stats_paths(n_paths)
-    return _sample_stats(_drive(states, grid))
 
 
 def path_stats(bundle: PathBundle, at: int) -> PathStats:

@@ -368,7 +368,6 @@ def screen_principal_submatrices(
     max_size_removed: int | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
     tol: float = DEFAULT_TOL,
-    use_fast_path: bool = True,
 ) -> SubmatrixScreen:
     """Classify the principal submatrices of B.
 
@@ -406,7 +405,7 @@ def screen_principal_submatrices(
     removed = [frozenset(rm) for k in range(max_removed + 1)
                for rm in itertools.combinations(range(1, p + 1), k)]
     # One solve decides whether the fast path can apply; only then is B estimated.
-    if use_fast_path and matkit.is_symmetric(a) and is_stable(a)[0]:
+    if matkit.is_symmetric(a) and is_stable(a)[0]:
         base = classify(a, tol)
         if base.classification is Classification.STABLE:
             return SubmatrixScreen(tuple((rm, base) for rm in removed), True, fast_path=True)

@@ -1,6 +1,8 @@
+import ast
 import csv
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
-from oucausal import cli, simulate, stability, stationary
+from oucausal import cli, errors, simulate, stability, stationary
 from oucausal.errors import NotPositiveDefiniteError
 from oucausal.modelfile import load_model_file
 from oucausal.models import intervene_seq
@@ -384,8 +386,7 @@ def test_simulate_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
-    # --stats-only simulates through _final_stats, not simulate_paths.
-    monkeypatch.setattr(cli, "_final_stats", exhausted)
+    monkeypatch.setattr(cli, "run", exhausted)
     code = cli.main(["simulate", write_model(tmp_path, DEMO), "--stats-only"])
     captured = capsys.readouterr()
     assert code == 1
@@ -505,6 +506,22 @@ def test_simulate_coupled_csv_columns_equal_separate_runs(tmp_path, capsys):
     assert d_cells == [[repr(v) for v in row] for row in diff.values.reshape(-1, 3).tolist()]
 
 
+@pytest.mark.parametrize("method", ["exact", "euler"])
+def test_simulate_csv_equals_simulate_paths_of_the_reduced_model(tmp_path, capsys, method):
+    path = write_model(tmp_path, PINNED_DEMO)
+    out = _run_in_process(capsys, "simulate", path, "--method", method,
+                          "--t", "1.5", "--steps", "12", "--paths", "7", "--seed", "4")
+    model, ivs = load_model_file(path)
+    grid = uniform_grid(1.5, 12)
+    bundle = simulate_paths(intervene_seq(model, ivs)[0], grid, 7, 4, method=method)
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0] == ["path", "t", *bundle.labels]
+    assert [row[:2] for row in rows[1:]] == [[str(i), repr(t)]
+                                             for i in range(7) for t in grid.t.tolist()]
+    values = bundle.values.reshape(-1, len(bundle.labels)).tolist()
+    assert [row[2:] for row in rows[1:]] == [[repr(v) for v in row] for row in values]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in kilobytes on Linux")
 def test_simulate_stats_only_memory_does_not_grow_with_steps(tmp_path):
@@ -535,3 +552,37 @@ def test_output_flag_writes_file(tmp_path):
     assert out.returncode == 0
     assert out.stdout == ""
     assert json.loads(target.read_text())["stationarity"] == "Exists"
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (errors.ModelFileError("bad file"), 2, "error: bad file\n"),
+    (errors.DimensionError("bad shape"), 3, "error: bad shape\n"),
+    (errors.NonFiniteError("nan entry"), 3, "error: nan entry\n"),
+    (errors.SingularReducedMatrixError("singular", stage=1), 4, "error: singular\n"),
+    (errors.DuplicateInterventionError("pinned twice"), 4, "error: pinned twice\n"),
+    (errors.BadCoordinateError("no X9"), 4, "error: no X9\n"),
+    (errors.SimulationOverflowError("overflow"), 5, "error: overflow\n"),
+    (errors.OuCausalError("other"), 1, "error: other\n"),
+    (errors.NotPositiveDefiniteError("unlisted subclass"), 1, "error: unlisted subclass\n"),
+    (MemoryError("Unable to allocate 8. GiB"), 1,
+     "error: out of memory: Unable to allocate 8. GiB\n"),
+])
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error, code, message):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_describe", failing)
+    assert cli.main(["describe", "model.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    # The CLI reaches the package through public (or module-public) names only.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "oucausal")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -333,7 +333,8 @@ def test_dense_screen_takes_one_solve_per_size_chunk(monkeypatch):
     rng = np.random.default_rng(0)
     b = rng.standard_normal((10, 10)) / np.sqrt(10) - 1.5 * np.eye(10)
     calls = _counting_solves(monkeypatch)
-    screen = screen_principal_submatrices(b, use_fast_path=False)
+    screen = screen_principal_submatrices(b)
+    assert not screen.fast_path
     assert calls == [2 * math.comb(10, n) for n in range(10, 1, -1)]
     assert len(screen.entries) == 2**10 - 1
 
@@ -376,7 +377,9 @@ def test_submatrix_csv_equals_serial_reference(tmp_path, capsys):
 @st.composite
 def _permuted_block_triangular(draw):
     """Block upper-triangular B with 1x1 to 3x3 diagonal blocks, conjugated
-    by a random permutation, so that the components need not be contiguous."""
+    by a random permutation, so that the components need not be contiguous.
+    The first block always depends on the second, so B is never symmetric
+    and the screen never takes the symmetric fast path."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     p = sum(sizes)
     entries = st.floats(-3.0, 3.0, allow_nan=False, width=64)
@@ -384,6 +387,7 @@ def _permuted_block_triangular(draw):
     start = np.cumsum([0] + sizes)
     for row in range(p):
         b[row, :start[np.searchsorted(start, row, side="right") - 1]] = 0.0
+    b[0, start[1]] = b[0, start[1]] or 1.0
     order = np.array(draw(st.permutations(range(p))))
     return b[np.ix_(order, order)]
 
@@ -392,7 +396,9 @@ def _permuted_block_triangular(draw):
 @given(b=_permuted_block_triangular())
 def test_permuted_block_triangular_screen_matches_eigvals(b):
     tol = stability.DEFAULT_TOL
-    entries = screen_principal_submatrices(b, use_fast_path=False).entries
+    screen = screen_principal_submatrices(b)
+    assert not screen.fast_path
+    entries = screen.entries
     whole, alone = entries[0][1], classify(b)
     assert (whole.classification, whole.spectral_abscissa) == (
         alone.classification, alone.spectral_abscissa)

@@ -90,8 +90,7 @@ def _layout_runs():
         "euler": lambda n: simulate_paths(wide, grid, n, 21, method="euler").values,
         "general_euler": lambda n: simulate_paths(ou_as_general(wide), grid, n, 21,
                                                   method="euler").values,
-        "coupled": lambda n: simulate._coupled_paths(wide, Intervention(2, 0.5),
-                                                     grid, n, 21),
+        "coupled": lambda n: simulate.run(wide, grid, n, 21, iv=Intervention(2, 0.5)),
     }
 
 

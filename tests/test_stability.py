@@ -12,7 +12,7 @@ from oucausal import (
 )
 from oucausal import controllability_rank, matkit
 from oucausal.errors import DimensionError, TooLargeError
-from util import gershgorin_stable
+from util import gershgorin_stable, principal_submatrix
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])  # eigenvalues -1 +- i sqrt(3)
 
@@ -146,12 +146,12 @@ def test_screen_fast_path_matches_enumeration():
     for _ in range(5):
         r = rng.uniform(-1.0, 1.0, (5, 5))
         b = 0.5 * (r + r.T) - (1.0 + np.max(np.sum(np.abs(r), axis=1))) * np.eye(5)
-        fast = screen_principal_submatrices(b, use_fast_path=True)
-        slow = screen_principal_submatrices(b, use_fast_path=False)
-        assert fast.fast_path and not slow.fast_path
+        fast = screen_principal_submatrices(b)
+        assert fast.fast_path
         fast_map = {rm: rep.classification for rm, rep in fast.entries}
-        slow_map = {rm: rep.classification for rm, rep in slow.entries}
-        assert fast_map == slow_map
+        reference = {rm: classify(principal_submatrix(b, rm)).classification
+                     for rm, _ in fast.entries}
+        assert fast_map == reference
 
 
 def test_screen_max_size_restriction():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oucausal.errors import DimensionError, EmptyResultError
-from util import principal_submatrix
+from oucausal.errors import DimensionError
+from util import EmptyResultError, principal_submatrix
 
 
 # --------------------------------------------------------- principal submatrix

@@ -4,8 +4,12 @@ import numpy as np
 
 from oucausal import OuModel, matkit, stability
 from oucausal.errors import (
-    DimensionError, EmptyResultError, NoStationaryDistributionError, PreconditionError,
+    DimensionError, NoStationaryDistributionError, OuCausalError, PreconditionError,
 )
+
+
+class EmptyResultError(OuCausalError):
+    """`principal_submatrix` would produce an empty (0 x 0) matrix."""
 
 
 def demo_triangular(A=(1.0, 2.0, 3.0), diag=(-1.0, -2.0, -1.5),
