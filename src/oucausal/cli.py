@@ -87,14 +87,6 @@ def _load_reduced(args) -> OuModel:
     return model
 
 
-def _vec(v: np.ndarray) -> list[float]:
-    return [float(x) for x in v]
-
-
-def _mat(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in m]
-
-
 def cmd_describe(args) -> str:
     model = _load_reduced(args)
     report = stab.classify(model.B, tol=args.tol)
@@ -114,7 +106,7 @@ def cmd_describe(args) -> str:
     if verdict.verdict is stat.Verdict.EXISTS:
         if verdict.law is None:
             raise verdict._no_law
-        doc["stationary"] = {"mean": _vec(verdict.law.mean), "cov": _mat(verdict.law.cov)}
+        doc["stationary"] = {"mean": verdict.law.mean.tolist(), "cov": verdict.law.cov.tolist()}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -128,7 +120,7 @@ def cmd_intervene(args) -> str:
 def cmd_stationary(args) -> str:
     model = _load_reduced(args)
     law = stat.stationary_distribution(model)
-    return json.dumps({"mean": _vec(law.mean), "cov": _mat(law.cov)}, indent=2) + "\n"
+    return json.dumps({"mean": law.mean.tolist(), "cov": law.cov.tolist()}, indent=2) + "\n"
 
 
 def cmd_stability(args) -> str:
@@ -180,6 +172,8 @@ def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> st
 
 
 def cmd_simulate(args) -> str:
+    if args.coupled and args.method == "exact":
+        raise ModelFileError("--coupled steps by Euler only; --method exact does not apply")
     model, file_ivs = load_model_file(args.model)
     grid = uniform_grid(args.t, args.steps)
     iv = None
@@ -192,7 +186,8 @@ def cmd_simulate(args) -> str:
         iv = file_ivs[0]
     elif file_ivs:
         model, _ = intervene_seq(model, file_ivs)
-    result = run(model, grid, args.paths, args.seed, args.method, iv, args.stats_only)
+    result = run(model, grid, args.paths, args.seed, args.method or "exact", iv,
+                 args.stats_only)
     if args.stats_only:
         return _stats_json(grid, model.labels, args.paths, result)
     header = ["path", "t", *model.labels]
@@ -206,9 +201,9 @@ def _stats_json(grid, labels, n_paths: int, stats) -> str:
         "at": float(grid.t[-1]),
         "n_paths": n_paths,
         "labels": list(labels),
-        "mean": _vec(stats.mean),
-        "cov": _mat(stats.cov),
-        "se_mean": _vec(stats.se_mean),
+        "mean": stats.mean.tolist(),
+        "cov": stats.cov.tolist(),
+        "se_mean": stats.se_mean.tolist(),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -229,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("describe", cmd_describe,
             "dimensions, stability, controllability, stationary law")
-    p.add_argument("--tol", type=_positive_float, default=1e-9,
+    p.add_argument("--tol", type=_positive_float, default=stab.DEFAULT_TOL,
                    help="spectral abscissa tolerance (default 1e-9)")
 
     p = add("intervene", cmd_intervene, "pin coordinates and emit the reduced model")
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("stability", cmd_stability, "stability classification as CSV")
     p.add_argument("--submatrices", action="store_true",
                    help="also classify every proper principal submatrix")
-    p.add_argument("--tol", type=_positive_float, default=1e-9,
+    p.add_argument("--tol", type=_positive_float, default=stab.DEFAULT_TOL,
                    help="spectral abscissa tolerance (default 1e-9)")
 
     p = add("graph", cmd_graph, "dependence graph as JSON or DOT")
@@ -257,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_positive_int, default=1000,
                    help="number of paths (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--method", choices=("exact", "euler"), default="exact",
-                   help="transition sampling method (default exact)")
+    p.add_argument("--method", choices=("exact", "euler"),
+                   help="transition sampling method (default exact; --coupled "
+                        "steps by Euler and accepts only euler)")
     p.add_argument("--stats-only", action="store_true",
                    help="emit mean/cov/SE at the final time instead of paths")
     p.add_argument("--coupled", action="store_true",

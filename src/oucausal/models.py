@@ -11,13 +11,17 @@ the m'th equation, which yields the (p-1)-dimensional model with
     mean reversion level  A~ = alpha - B~^{-1} beta,
 
 where alpha is A without coordinate m and beta_i = b_im (c - a_m) for
-i != m. Coordinate indices are 1-based on every user-facing surface.
+i != m. A sequence of pinnings names its coordinates in the original
+model and is applied left to right, each stage pinning one coordinate of
+the model the previous stage left. An InterventionRecord tells which
+original coordinates were pinned, to which constants, and which survive.
+Coordinate indices are 1-based on every user-facing surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -105,52 +109,15 @@ class Intervention:
 
 @dataclass(frozen=True)
 class InterventionRecord:
-    """Traceability between original and reduced coordinates.
+    """Where the coordinates of a pinned model came from.
 
     `surviving` lists the original 1-based indices still present, in order;
-    `fixed` lists (label, value) pairs in the order they were pinned. The
-    two index maps implied by `surviving` are mutually inverse bijections.
+    `fixed` lists (label, value) pairs in the order they were pinned.
     """
 
     original_labels: tuple[str, ...]
     fixed: tuple[tuple[str, float], ...] = ()
     surviving: tuple[int, ...] = ()
-
-    @classmethod
-    def fresh(cls, labels: Sequence[str]) -> "InterventionRecord":
-        return cls(tuple(labels), (), tuple(range(1, len(labels) + 1)))
-
-    @property
-    def fixed_labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.fixed)
-
-    def is_fixed(self, original_index: int) -> bool:
-        return self.original_labels[original_index - 1] in self.fixed_labels
-
-    def to_current(self, original_index: int) -> int:
-        """Map an original 1-based index to its current position."""
-        _check_coordinate(original_index, len(self.original_labels))
-        if self.is_fixed(original_index):
-            raise DuplicateInterventionError(
-                f"coordinate {self.original_labels[original_index - 1]!r} "
-                "was already pinned"
-            )
-        return self.surviving.index(original_index) + 1
-
-    def to_original(self, current_index: int) -> int:
-        """Map a current 1-based index back to the original coordinates."""
-        _check_coordinate(current_index, len(self.surviving))
-        return self.surviving[current_index - 1]
-
-    def pin(self, current_index: int, value: float) -> "InterventionRecord":
-        """Record pinning the coordinate at `current_index` to `value`."""
-        orig = self.to_original(current_index)
-        label = self.original_labels[orig - 1]
-        return InterventionRecord(
-            self.original_labels,
-            self.fixed + ((label, float(value)),),
-            tuple(i for i in self.surviving if i != orig),
-        )
 
     def lift(self, reduced: np.ndarray) -> np.ndarray:
         """Embed reduced states back into the original coordinates.
@@ -181,10 +148,30 @@ class InterventionRecord:
         }
 
 
-def _reduce_once(
-    model: OuModel, m: int, c: float, record: InterventionRecord
-) -> tuple[OuModel, InterventionRecord]:
-    """One pinning step on the model's current coordinates (m is 1-based)."""
+def _pins(labels: tuple[str, ...], ivs: Iterable[Intervention]):
+    """Walk a pin sequence given in original 1-based coordinates.
+
+    Stage k yields the current 1-based index of its coordinate, i.e. its
+    position once stages 1..k-1 are pinned, and the record after stage k.
+    Raises BadCoordinateError naming the stage for an index outside 1..p
+    and DuplicateInterventionError for a coordinate pinned twice.
+    """
+    surviving = tuple(range(1, len(labels) + 1))
+    fixed = ()
+    for stage, iv in enumerate(ivs, start=1):
+        _check_coordinate(iv.m, len(labels), f"stage {stage}: ")
+        if iv.m not in surviving:
+            raise DuplicateInterventionError(
+                f"coordinate {labels[iv.m - 1]!r} was already pinned"
+            )
+        m_now = surviving.index(iv.m) + 1
+        fixed += ((labels[iv.m - 1], iv.c),)
+        surviving = surviving[:m_now - 1] + surviving[m_now:]
+        yield m_now, InterventionRecord(labels, fixed, surviving)
+
+
+def _reduce_once(model: OuModel, m: int, c: float) -> OuModel:
+    """Pin the coordinate at current 1-based index m of the model to c."""
     if model.p < 2:
         raise DimensionError("cannot pin a coordinate of a 1-dimensional model")
     _check_coordinate(m, model.p)
@@ -199,7 +186,7 @@ def _reduce_once(
             f"reduced mean-reversion block is singular after pinning "
             f"coordinate {model.labels[m - 1]!r}: {exc}"
         )
-    reduced = OuModel(
+    return OuModel(
         p=model.p - 1,
         d=model.d,
         x0=model.x0[keep],
@@ -208,7 +195,6 @@ def _reduce_once(
         sigma=model.sigma[keep, :],
         labels=tuple(model.labels[i] for i in keep),
     )
-    return reduced, record.pin(m, c)
 
 
 def intervene_ou(model: OuModel, iv: Intervention) -> tuple[OuModel, InterventionRecord]:
@@ -217,7 +203,9 @@ def intervene_ou(model: OuModel, iv: Intervention) -> tuple[OuModel, Interventio
     Raises SingularReducedMatrixError when the reduced mean-reversion block
     is not invertible and BadCoordinateError when iv.m is out of range.
     """
-    return _reduce_once(model, iv.m, iv.c, InterventionRecord.fresh(model.labels))
+    reduced = _reduce_once(model, iv.m, iv.c)
+    [(_, record)] = _pins(model.labels, [iv])
+    return reduced, record
 
 
 def intervene_seq(
@@ -225,19 +213,18 @@ def intervene_seq(
 ) -> tuple[OuModel, InterventionRecord]:
     """Left-to-right fold of single pinnings.
 
-    Indices are interpreted against the ORIGINAL coordinates and resolved
-    through the running record, so "pin X3 then X1" keeps its meaning after
-    the first reduction. Pinning the same original coordinate twice raises
-    DuplicateInterventionError; a singular reduced block raises
-    SingularReducedMatrixError carrying the 1-based stage index.
+    Indices are interpreted against the ORIGINAL coordinates, so "pin X3
+    then X1" keeps its meaning after the first reduction. An index outside
+    1..p raises BadCoordinateError naming its 1-based stage, pinning the
+    same original coordinate twice raises DuplicateInterventionError, and a
+    singular reduced block raises SingularReducedMatrixError carrying the
+    stage.
     """
-    record = InterventionRecord.fresh(model.labels)
     current = model
-    for stage, iv in enumerate(ivs, start=1):
-        _check_coordinate(iv.m, len(record.original_labels), f"stage {stage}: ")
-        m_now = record.to_current(iv.m)
+    record = InterventionRecord(model.labels, (), tuple(range(1, model.p + 1)))
+    for stage, (m_now, record) in enumerate(_pins(model.labels, ivs), start=1):
         try:
-            current, record = _reduce_once(current, m_now, iv.c, record)
+            current = _reduce_once(current, m_now, record.fixed[-1][1])
         except SingularReducedMatrixError as exc:
             raise SingularReducedMatrixError(f"stage {stage}: {exc}", stage=stage)
     return current, record
@@ -287,16 +274,11 @@ def intervened_dependence_graph(
     the drift of other coordinates) but loses its incoming edges and its
     self-loop. The graph of the reduced (p-1)-dimensional model itself is
     `dependence_graph(reduced)`; this view keeps the pinned nodes visible.
+    The pins are checked as in `intervene_seq`; nothing is solved.
     """
     if isinstance(ivs, Intervention):
         ivs = [ivs]
-    pinned = set()
-    for iv in ivs:
-        _check_coordinate(iv.m, model.p)
-        label = model.labels[iv.m - 1]
-        if label in pinned:
-            raise DuplicateInterventionError(f"coordinate {label!r} pinned twice")
-        pinned.add(label)
+    pinned = {record.fixed[-1][0] for _, record in _pins(model.labels, ivs)}
     graph = dependence_graph(model, tol)
     return DependenceGraph(graph.nodes, tuple(e for e in graph.edges if e[1] not in pinned))
 

@@ -88,14 +88,22 @@ class StationarityVerdict:
 
 
 def controllability_rank(b, sigma) -> int:
-    """Rank of the p x (pd) block matrix [sigma | B sigma | ... | B^{p-1} sigma]."""
+    """Rank of the p x (pd) block matrix [sigma | B sigma | ... | B^{p-1} sigma].
+
+    Each block is divided by its largest absolute entry before it is stacked
+    and multiplied by B again. A positive factor per block keeps the column
+    span, so the rank is unchanged, but a huge B^k sigma can no longer swamp
+    the rank tolerance, which is relative to the largest singular value.
+    """
+
+    def unit(block: np.ndarray) -> np.ndarray:
+        top = np.abs(block).max(initial=0.0)
+        return block / top if top > 0 else block
+
     bm = stability._square(b)
-    sm = matkit.as_matrix(sigma, bm.shape[0], None, "sigma")
-    blocks = [sm]
-    acc = sm
+    blocks = [unit(matkit.as_matrix(sigma, bm.shape[0], None, "sigma"))]
     for _ in range(bm.shape[0] - 1):
-        acc = bm @ acc
-        blocks.append(acc)
+        blocks.append(unit(bm @ blocks[-1]))
     return matkit.rank(np.hstack(blocks))
 
 

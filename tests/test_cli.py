@@ -495,6 +495,14 @@ def test_simulate_coupled_csv_columns_equal_separate_runs(tmp_path, capsys):
     grid_flags = ("--t", "1.5", "--steps", "12", "--paths", "7", "--seed", "4")
     coupled = _run_in_process(capsys, "simulate", pinned, "--coupled", *grid_flags)
     euler = _run_in_process(capsys, "simulate", free, "--method", "euler", *grid_flags)
+    # The coupled recursion is Euler: --method euler changes nothing, and an
+    # explicit --method exact is a usage error rather than silently ignored.
+    assert _run_in_process(capsys, "simulate", pinned, "--coupled", "--method", "euler",
+                           *grid_flags) == coupled
+    code = cli.main(["simulate", pinned, "--coupled", "--method", "exact", *grid_flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --coupled steps by Euler only; --method exact does not apply\n"
     coupled_rows = [line.split(",") for line in coupled.splitlines()]
     euler_rows = [line.split(",") for line in euler.splitlines()]
     assert len(coupled_rows) == len(euler_rows) == 1 + 7 * 13

@@ -4,6 +4,7 @@ import pytest
 from oucausal import (
     GeneralSde,
     Intervention,
+    InterventionRecord,
     OuModel,
     PathBundle,
     classify,
@@ -131,8 +132,12 @@ def test_intervene_sigma_row_removed():
 
 def test_intervene_bad_coordinate():
     m = demo_triangular()
-    with pytest.raises(BadCoordinateError):
+    with pytest.raises(BadCoordinateError, match=r"^coordinate 4 outside 1\.\.3$"):
         intervene_ou(m, Intervention(4, 0.0))
+    with pytest.raises(BadCoordinateError, match=r"^stage 2: coordinate 4 outside 1\.\.3$"):
+        intervene_seq(m, [Intervention(1, 0.0), Intervention(4, 0.0)])
+    with pytest.raises(BadCoordinateError, match=r"^stage 1: coordinate 4 outside 1\.\.3$"):
+        intervened_dependence_graph(m, Intervention(4, 0.0))
 
 
 def test_intervene_singular_reduced_block():
@@ -154,9 +159,10 @@ def test_seq_empty_is_identity():
 
 def test_seq_singleton_equals_single():
     m = demo_triangular()
-    a, _ = intervene_ou(m, Intervention(2, 0.3))
-    b, _ = intervene_seq(m, [Intervention(2, 0.3)])
+    a, rec_a = intervene_ou(m, Intervention(2, 0.3))
+    b, rec_b = intervene_seq(m, [Intervention(2, 0.3)])
     assert np.array_equal(a.B, b.B) and np.array_equal(a.A, b.A)
+    assert rec_a == rec_b
 
 
 def test_seq_diagonal_order_invariance():
@@ -171,8 +177,17 @@ def test_seq_diagonal_order_invariance():
 
 def test_seq_duplicate_rejected():
     m = demo_triangular()
-    with pytest.raises(DuplicateInterventionError):
-        intervene_seq(m, [Intervention(2, 1.0), Intervention(2, 2.0)])
+    twice = [Intervention(2, 1.0), Intervention(2, 2.0)]
+    with pytest.raises(DuplicateInterventionError, match="^coordinate 'X2' was already pinned$"):
+        intervene_seq(m, twice)
+    # Pinning X2 of this B leaves a singular block, which intervene_seq
+    # reports first; the graph view solves nothing, so it sees the repeat.
+    b = np.array([[0.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    m = OuModel(p=3, d=3, x0=np.zeros(3), A=np.zeros(3), B=b, sigma=np.eye(3))
+    with pytest.raises(SingularReducedMatrixError):
+        intervene_seq(m, twice)
+    with pytest.raises(DuplicateInterventionError, match="^coordinate 'X2' was already pinned$"):
+        intervened_dependence_graph(m, twice)
 
 
 def test_seq_resolves_original_indices():
@@ -189,6 +204,17 @@ def test_seq_resolves_original_indices():
         y = rng.uniform(-4, 4, 1)
         x = np.array([c1, y[0], c3])
         assert abs(out.drift(y)[0] - m.drift(x)[1]) <= 1e-10
+    # On p = 4, "X3 then X1": X1 still sits at index 1 after X3 is gone.
+    m4 = OuModel(p=4, d=4, x0=np.zeros(4), A=np.zeros(4),
+                 B=diag_dominant(rng, 4), sigma=np.eye(4))
+    out, rec = intervene_seq(m4, [Intervention(3, c3), Intervention(1, c1)])
+    assert out.labels == ("X2", "X4")
+    assert rec == InterventionRecord(m4.labels, (("X3", c3), ("X1", c1)), (2, 4))
+    assert rec.as_dict() == {
+        "original_labels": ["X1", "X2", "X3", "X4"],
+        "fixed": [{"label": "X3", "value": c3}, {"label": "X1", "value": c1}],
+        "surviving_labels": ["X2", "X4"],
+    }
 
 
 def test_seq_singular_stage_reported():
@@ -209,6 +235,11 @@ def test_record_lift_roundtrip():
     assert lifted.shape == (5, 3)
     assert np.all(lifted[:, 1] == 7.5)
     assert np.array_equal(lifted[:, [0, 2]], y)
+    rec = InterventionRecord(("X1", "X2", "X3", "X4"), (("X3", 0.8), ("X1", -1.1)), (2, 4))
+    lifted = rec.lift(y)
+    assert lifted.shape == (5, 4)
+    assert np.array_equal(lifted[:, [1, 3]], y)
+    assert np.all(lifted[:, 2] == 0.8) and np.all(lifted[:, 0] == -1.1)
 
 
 # ----------------------------------------------------------- dependence graph

@@ -45,16 +45,37 @@ def test_controllability_identity_sigma():
     rng = np.random.default_rng(2)
     b = rng.uniform(-3, 3, (4, 4))
     assert controllability_rank(b, np.eye(4)) == 4
+    # The unscaled Krylov matrix [I | B] has sigma_max about 1e200, and the
+    # rank tolerance relative to it swallowed the I block: rank 1.
+    assert controllability_rank([[-1.0, 1e200], [0.0, -1.0]], np.eye(2)) == 2
 
 
 def test_controllability_parallel_column():
     assert controllability_rank(np.eye(2), np.array([[1.0], [0.0]])) == 1
+    assert controllability_rank(np.eye(2), np.zeros((2, 0))) == 0
 
 
 def test_controllability_nilpotent_shift():
     # sigma = [0,1]^T, B sigma = [1,0]^T: together they span R^2.
     b = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert controllability_rank(b, np.array([[0.0], [1.0]])) == 2
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_controllability_rank_invariant_under_diagonal_similarity(step):
+    # B -> D^-1 B D, sigma -> D^-1 sigma maps the Krylov matrix K to D^-1 K,
+    # which has the rank of K.
+    rng = np.random.default_rng(6)
+    b = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
+    sigma = rng.normal(size=(4, 1))
+    b_def = b.copy()
+    b_def[2:, :2] = 0.0                  # block triangular: noise reaches
+    sigma_def = np.zeros((4, 1))         # only the first two coordinates
+    sigma_def[:2, 0] = rng.normal(size=2)
+    d = 10.0 ** (step * np.arange(4))
+    for bb, ss, rank in [(b, sigma, 4), (b_def, sigma_def, 2)]:
+        assert controllability_rank(bb, ss) == rank
+        assert controllability_rank(bb / d[:, None] * d, ss / d[:, None]) == rank
 
 
 # ------------------------------------------------------------------ existence
