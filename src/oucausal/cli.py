@@ -143,7 +143,7 @@ def cmd_stability(args) -> str:
 
 def cmd_graph(args) -> str:
     model = _load_reduced(args)
-    graph = dependence_graph(model, tol=args.tol if args.tol is not None else 0.0)
+    graph = dependence_graph(model, tol=args.tol)
     if args.dot:
         return graph.to_dot()
     doc = {
@@ -153,11 +153,12 @@ def cmd_graph(args) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> str:
+def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> list[str]:
     """CSV rows `path,t,<columns>` for every path and grid time, each value
-    written as its shortest round-trip repr. Paths are formatted one at a
-    time and each path's rows are joined at once, so only one path's cell
-    and row strings are alive at a time."""
+    written as its shortest round-trip repr, as the header chunk and one
+    chunk per path. Paths are formatted one at a time and each path's rows
+    are joined at once, so only one path's cell and row strings are alive
+    at a time. `main` writes the chunks in order, so the CSV is held once."""
     head = io.StringIO()
     csv.writer(head, lineterminator="\n").writerow(header)  # quotes odd labels
     width = columns.shape[2]
@@ -168,10 +169,10 @@ def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> st
         cells = map(repr, path.reshape(-1).tolist())
         rows = map(",".join, zip(*[cells] * width))  # `width` cells per row
         chunks.append("".join([prefix + t + row + "\n" for t, row in zip(times, rows)]))
-    return "".join(chunks)
+    return chunks
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> str | list[str]:
     if args.coupled and args.method == "exact":
         raise ModelFileError("--coupled steps by Euler only; --method exact does not apply")
     model, file_ivs = load_model_file(args.model)
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("graph", cmd_graph, "dependence graph as JSON or DOT")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=0.0,
                    help="edge threshold on |b_ij| (default 0: structural zeros)")
 
     p = add("simulate", cmd_simulate, "simulate paths as CSV or summary JSON")
@@ -266,15 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
+        text = args.handler(args)  # a string, or CSV chunks to write in order
     except (OuCausalError, MemoryError) as exc:  # the union of _EXIT_CODES
         code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
         prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
+    chunks = [text] if isinstance(text, str) else text
+    if not args.output and isinstance(sys.stdout, io.StringIO):
+        # A StringIO grows by reallocation on every write, which can leave
+        # the heap fragmented; one write of the joined text does not.
+        chunks = ["".join(chunks)]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0

@@ -1,9 +1,10 @@
 """Dense real linear-algebra kernel.
 
 All operations work on plain float64 numpy arrays and are pure functions.
-Solves, ranks and the Pade quotient of `expm` come from numpy.linalg; the
-only factorization written out here is the Cholesky loop shared by the
-definiteness tests. Every threshold is scale-aware (rank: sigma_max * n *
+It keeps only what numpy lacks: input validation, the scale-aware
+thresholds, `expm` and the Cholesky loop shared by the definiteness tests.
+Solves, ranks, the 1-norm and the Pade quotient of `expm` come from
+numpy.linalg. Every threshold is scale-aware (rank: sigma_max * n *
 2**-52; Cholesky pivots: n * 2**-52 * max|entry|; symmetry: 1e-9 relative),
 so singularity and definiteness decisions do not change under rescaling.
 """
@@ -72,11 +73,6 @@ def _require_square(m: np.ndarray, name: str) -> None:
         raise DimensionError(f"{name}: expected a square matrix, got {m.shape}")
 
 
-def norm_one(m: np.ndarray) -> float:
-    """Max absolute column sum (the 1 operator norm)."""
-    return float(np.max(np.sum(np.abs(m), axis=0), initial=0.0))
-
-
 def pivot_limit(m: np.ndarray) -> float:
     """Scale-aware Cholesky pivot threshold n * 2**-52 * max|M|."""
     return m.shape[0] * _EPS * float(np.max(np.abs(m), initial=0.0))
@@ -119,7 +115,7 @@ def expm(m) -> np.ndarray:
     a = as_matrix(m, name="M")
     _require_square(a, "M")
     n = a.shape[0]
-    nrm = norm_one(a)
+    nrm = np.linalg.norm(a, 1)
     s = 0 if nrm == 0.0 else max(0, int(np.ceil(np.log2(nrm))) + 1)
     a = a / (2.0**s)
     ident = np.eye(n)

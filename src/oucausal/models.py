@@ -40,6 +40,12 @@ def default_labels(p: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(1, p + 1))
 
 
+def _check_positive_int(value, name: str, error: type = DimensionError) -> None:
+    """Raise `error` unless value is an int (not a bool) of at least 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_coordinate(m: int, p: int, prefix: str = "") -> None:
     """Raise BadCoordinateError unless 1 <= m <= p."""
     if not 1 <= m <= p:
@@ -69,10 +75,8 @@ class OuModel:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise DimensionError(f"p must be a positive integer, got {self.p!r}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DimensionError(f"d must be a positive integer, got {self.d!r}")
+        _check_positive_int(self.p, "p")
+        _check_positive_int(self.d, "d")
         object.__setattr__(self, "x0", matkit.as_vector(self.x0, self.p, "x0"))
         object.__setattr__(self, "A", matkit.as_vector(self.A, self.p, "A"))
         object.__setattr__(self, "B", matkit.as_matrix(self.B, self.p, self.p, "B"))
@@ -99,8 +103,7 @@ class Intervention:
     c: float
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise BadCoordinateError(f"m must be a positive integer, got {self.m!r}")
+        _check_positive_int(self.m, "m", BadCoordinateError)
         c = float(self.c)
         if not np.isfinite(c):
             raise NonFiniteError(f"intervention value must be finite, got {c!r}")
@@ -312,10 +315,8 @@ class GeneralSde:
     batch_coef: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise DimensionError(f"p must be a positive integer, got {self.p!r}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DimensionError(f"d must be a positive integer, got {self.d!r}")
+        _check_positive_int(self.p, "p")
+        _check_positive_int(self.d, "d")
         object.__setattr__(self, "x0", matkit.as_vector(self.x0, self.p, "x0"))
         batch = self.batch_coef
         if not callable(self.coef if batch is None else batch):

@@ -167,7 +167,7 @@ def exact_transition(model: OuModel, t: float) -> tuple[np.ndarray, np.ndarray, 
         raise NonPositiveStepError("t must be positive")
     p = model.p
     s = model.sigma @ model.sigma.T
-    nrm = matkit.norm_one(model.B)
+    nrm = np.linalg.norm(model.B, 1)
     doublings = 0 if t * nrm <= 1.0 else int(np.ceil(np.log2(t * nrm)))
     h = t / 2.0**doublings
     block = np.zeros((2 * p, 2 * p))

@@ -30,12 +30,13 @@ One abscissa path serves `spectral_abscissa`, `classify` and
 principal-submatrix screening. It factors B by the strongly connected
 components of its dependence graph, found from a boolean transitive
 closure: a principal submatrix's spectrum is the union of its blocks'
-spectra, one block per component, so only the subsets of each component
-are estimated, Sum 2^|C| blocks instead of 2^p submatrices. A 1x1 block's
-abscissa is its diagonal entry, so a triangular B needs no solve. The
-blocks of one size are estimated together, each with its own bracket, in
-chunks that bound memory. A report is read from its abscissa alone; the
-certificate X comes only from `is_stable`.
+spectra, one block per component met, so only the distinct blocks that
+the kept sets cut the components into are estimated, at most Sum 2^|C|
+instead of 2^p submatrices. A 1x1 block's abscissa is its diagonal entry,
+so a triangular B needs no solve. The blocks of one size are estimated
+together, each with its own bracket, in chunks that bound memory. A report
+is read from its abscissa alone; the certificate X comes only from
+`is_stable`.
 
 Semistability ("no eigenvalue with positive real part") is decided up to a
 tolerance band: exact imaginary-axis eigenvalues are not decidable in
@@ -308,30 +309,25 @@ def _components(a: np.ndarray) -> list[list[int]]:
     return components
 
 
-def _screen_abscissae(a: np.ndarray, kept: list[list[int]], max_removed: int,
-                      tol: float) -> list[float]:
+def _screen_abscissae(a: np.ndarray, kept: list[list[int]], tol: float) -> list[float]:
     """Spectral abscissa of each principal submatrix a[k, k], k in `kept`, as
-    the max over its blocks, one per strongly connected component C. Each
-    subset of C that leaves out at most `max_removed` indices is estimated
-    once, all of one size in lockstep; a 1x1 block's abscissa is exact."""
+    the max over its blocks, the non-empty intersections of k with the
+    strongly connected components. Each distinct block is estimated once,
+    all of one size in lockstep; a 1x1 block's abscissa is exact."""
     components = _components(a)
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for c in components:
-        for k in range(min(len(c) - 1, max_removed) + 1):
-            for drop in itertools.combinations(c, k):
-                by_size.setdefault(len(c) - k, []).append(tuple(i for i in c if i not in drop))
+    splits = [[block for c in components if (block := tuple(i for i in c if i in keep))]
+              for keep in map(set, kept)]
+    by_size: dict[int, dict[tuple[int, ...], None]] = {}  # dicts as ordered sets
+    for block in itertools.chain.from_iterable(splits):
+        by_size.setdefault(len(block), {})[block] = None
     abscissa = {}
     for n, blocks in by_size.items():
         if n == 1:
             abscissa.update((block, float(a[block[0], block[0]])) for block in blocks)
             continue
-        values = [s for stack in _gathered(a, blocks) for s in _abscissae(stack, tol)]
+        values = [s for stack in _gathered(a, list(blocks)) for s in _abscissae(stack, tol)]
         abscissa.update(zip(blocks, values))
-    result = []
-    for keep in map(set, kept):
-        blocks = (tuple(i for i in c if i in keep) for c in components)
-        result.append(max(abscissa[block] for block in blocks if block))
-    return result
+    return [max(abscissa[block] for block in blocks) for blocks in splits]
 
 
 def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
@@ -343,7 +339,7 @@ def spectral_abscissa(b, tol: float = DEFAULT_TOL) -> float:
     +- 0.45 tol, then bisection where that check fails (see `_abscissae`).
     """
     a = _square(b, tol)
-    return _screen_abscissae(a, [list(range(len(a)))], 0, tol)[0]
+    return _screen_abscissae(a, [list(range(len(a)))], tol)[0]
 
 
 def _report(abscissa: float, tol: float) -> StabilityReport:
@@ -411,7 +407,7 @@ def screen_principal_submatrices(
             return SubmatrixScreen(tuple((rm, base) for rm in removed), True, fast_path=True)
     kept = [[i for i in range(p) if i + 1 not in rm] for rm in removed]
     entries = tuple((rm, _report(s, tol))
-                    for rm, s in zip(removed, _screen_abscissae(a, kept, max_removed, tol)))
+                    for rm, s in zip(removed, _screen_abscissae(a, kept, tol)))
     all_proper = all(rep.classification is Classification.STABLE for rm, rep in entries if rm)
     return SubmatrixScreen(entries, all_proper)
 

@@ -208,19 +208,16 @@ def intervened_stationary_closed_form(
 
     if which == "X2":
         mean = np.array([a1 - (b12 / b11) * (c - a2), a3])
-        off = b13 / (2.0 * b33 * (b11 + b33))
-        cov = np.array([
-            [-1.0 / (2.0 * b11) - b13**2 / (2.0 * b11 * b33 * (b11 + b33)), off],
-            [off, -1.0 / (2.0 * b33)],
-        ])
+        b1k, bkk = b13, b33  # X1's coupling to the other survivor, and its rate
     else:
         mean = np.array([
             a1 - (b13 / b11 - b12 * b23 / (b11 * b22)) * (c - a3),
             a2 - (b23 / b22) * (c - a3),
         ])
-        off = b12 / (2.0 * b22 * (b11 + b22))
-        cov = np.array([
-            [-1.0 / (2.0 * b11) - b12**2 / (2.0 * b11 * b22 * (b11 + b22)), off],
-            [off, -1.0 / (2.0 * b22)],
-        ])
+        b1k, bkk = b12, b22
+    off = b1k / (2.0 * bkk * (b11 + bkk))
+    cov = np.array([
+        [-1.0 / (2.0 * b11) - b1k**2 / (2.0 * b11 * bkk * (b11 + bkk)), off],
+        [off, -1.0 / (2.0 * bkk)],
+    ])
     return GaussianLaw(mean, cov)

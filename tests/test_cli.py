@@ -1,10 +1,12 @@
 import ast
+import contextlib
 import csv
 import io
 import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -452,7 +454,7 @@ def test_paths_csv_matches_csv_writer():
     columns[1] *= -3.0
     grid_t = np.array([0.0, 0.1])
     header = ["path", "t", "X1", "a,b", 'q"x', "X4", "X5", "X6", "X7"]
-    text = cli._paths_csv(header, grid_t, columns)
+    text = "".join(cli._paths_csv(header, grid_t, columns))
     assert text == _csv_writer_reference(header, grid_t, columns)
     assert "-0.0,5e-324,0.1,2.0,1e+16,1e+22,-1.5e-07" in text
 
@@ -552,6 +554,27 @@ def test_simulate_stats_only_memory_does_not_grow_with_steps(tmp_path):
         peaks_mb.append(int(peak_kb) / 1024.0)
     # Holding every state would add 20000 x 196 x 3 doubles, about 94 MB.
     assert abs(peaks_mb[1] - peaks_mb[0]) < 10.0, peaks_mb
+
+
+def test_simulate_csv_is_held_once_and_equal_on_every_sink(tmp_path, capsys):
+    # The chunks go to a file in order and are never joined; an io.StringIO
+    # stdout takes them joined in one write. The simulated values and one
+    # path's strings add about 0.4 of the CSV's size to the peak.
+    path = write_model(tmp_path, DEMO)
+    argv = ["simulate", path, "--paths", "1000", "--steps", "50", "--seed", "4"]
+    target = tmp_path / "paths.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "-o", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = target.read_text(encoding="utf-8")
+    assert peak < 1.8 * len(text)
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        assert cli.main(argv) == 0
+    assert captured.getvalue() == text == _run_in_process(capsys, *argv)
 
 
 def test_output_flag_writes_file(tmp_path):

@@ -393,12 +393,19 @@ def _permuted_block_triangular(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(b=_permuted_block_triangular())
-def test_permuted_block_triangular_screen_matches_eigvals(b):
-    tol = stability.DEFAULT_TOL
+@given(b=_permuted_block_triangular(), data=st.data())
+def test_permuted_block_triangular_screen_matches_eigvals(b, data):
+    tol, p = stability.DEFAULT_TOL, len(b)
     screen = screen_principal_submatrices(b)
     assert not screen.fast_path
     entries = screen.entries
+    # A cap below p - 1 keeps sets that remove only part of a component; its
+    # entries are the full screen's first ones, bit for bit.
+    k = data.draw(st.integers(0, p - 1), label="max_size_removed")
+    capped = screen_principal_submatrices(b, max_size_removed=k).entries
+    assert len(capped) == sum(math.comb(p, j) for j in range(k + 1))
+    assert [(rm, r.classification, r.spectral_abscissa) for rm, r in capped] == [
+        (rm, r.classification, r.spectral_abscissa) for rm, r in entries[:len(capped)]]
     whole, alone = entries[0][1], classify(b)
     assert (whole.classification, whole.spectral_abscissa) == (
         alone.classification, alone.spectral_abscissa)

@@ -43,6 +43,23 @@ def test_dimension_mismatch_rejected():
                 B=np.ones((2, 3)), sigma=np.eye(2))
 
 
+SCALAR = dict(x0=[0.0], A=[0.0], B=[[-1.0]], sigma=[[1.0]])
+
+
+@pytest.mark.parametrize("build, error, name", [
+    (lambda: OuModel(p=True, d=1, **SCALAR), DimensionError, "p"),
+    (lambda: OuModel(p=1, d=True, **SCALAR), DimensionError, "d"),
+    (lambda: GeneralSde(p=True, d=1, x0=[0.0], coef=lambda x: np.ones((1, 1))),
+     DimensionError, "p"),
+    (lambda: Intervention(m=True, c=0.0), BadCoordinateError, "m"),
+], ids=["OuModel.p", "OuModel.d", "GeneralSde.p", "Intervention.m"])
+def test_bool_is_not_a_positive_integer(build, error, name):
+    # bool is a subclass of int, and a model with p=True would be written as
+    # "p": true, which load_model_file refuses to read back.
+    with pytest.raises(error, match=rf"^{name} must be a positive integer, got True$"):
+        build()
+
+
 def test_array_dataclasses_compare_and_hash_by_identity():
     # Field-wise == on array fields raised ValueError, and hash TypeError.
     m = demo_triangular()
