@@ -274,10 +274,6 @@ def main(argv=None) -> int:
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
     chunks = [text] if isinstance(text, str) else text
-    if not args.output and isinstance(sys.stdout, io.StringIO):
-        # A StringIO grows by reallocation on every write, which can leave
-        # the heap fragmented; one write of the joined text does not.
-        chunks = ["".join(chunks)]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)

@@ -115,7 +115,7 @@ def expm(m) -> np.ndarray:
     a = as_matrix(m, name="M")
     _require_square(a, "M")
     n = a.shape[0]
-    nrm = np.linalg.norm(a, 1)
+    nrm = np.linalg.norm(a, 1) if n else 0.0  # numpy refuses a 0x0 norm
     s = 0 if nrm == 0.0 else max(0, int(np.ceil(np.log2(nrm))) + 1)
     a = a / (2.0**s)
     ident = np.eye(n)

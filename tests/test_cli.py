@@ -557,9 +557,9 @@ def test_simulate_stats_only_memory_does_not_grow_with_steps(tmp_path):
 
 
 def test_simulate_csv_is_held_once_and_equal_on_every_sink(tmp_path, capsys):
-    # The chunks go to a file in order and are never joined; an io.StringIO
-    # stdout takes them joined in one write. The simulated values and one
-    # path's strings add about 0.4 of the CSV's size to the peak.
+    # The chunks go to every sink in order and are never joined. The
+    # simulated values and one path's strings add about 0.4 of the CSV's
+    # size to the peak.
     path = write_model(tmp_path, DEMO)
     argv = ["simulate", path, "--paths", "1000", "--steps", "50", "--seed", "4"]
     target = tmp_path / "paths.csv"

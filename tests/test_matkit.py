@@ -75,6 +75,7 @@ def test_solve_residual_bound_random_well_conditioned():
 
 def test_expm_zero_matrix():
     assert np.array_equal(matkit.expm(np.zeros((3, 3))), np.eye(3))
+    assert matkit.expm(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_expm_diagonal():
