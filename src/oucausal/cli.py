@@ -128,11 +128,9 @@ def cmd_stability(args) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["removed_set", "classification", "abscissa"])
-    if args.submatrices:
-        entries = stab.screen_principal_submatrices(model.B, tol=args.tol).entries
-    else:
-        entries = ((frozenset(), stab.classify(model.B, tol=args.tol)),)
-    for removed, report in entries:
+    screen = stab.screen_principal_submatrices(
+        model.B, max_size_removed=None if args.submatrices else 0, tol=args.tol)
+    for removed, report in screen.entries:
         writer.writerow([
             "{" + ",".join(str(i) for i in sorted(removed)) + "}",
             report.classification.value,

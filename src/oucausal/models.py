@@ -258,7 +258,7 @@ def dependence_graph(model: OuModel, tol: float = 0.0) -> DependenceGraph:
     reads exact structural zeros, so the graph reflects model structure
     rather than numerics. Edges are listed row-major in B.
     """
-    if tol < 0:
+    if not tol >= 0:  # also rejects NaN
         raise DimensionError("tol must be nonnegative")
     edges = []
     for i in range(model.p):
@@ -299,10 +299,10 @@ class GeneralSde:
                  coefficients, row i of the input giving slice i.
 
     Give one or both. A `coef` alone is wrapped into a `batch_coef` that
-    calls it once per row and checks each result's shape; a `batch_coef`
-    alone yields `coef` as its stack of one. The Euler simulator calls
-    `batch_coef` once per step on all paths through `coefs_at`, which
-    checks the stack's shape (DimensionError) and finiteness
+    calls it once per row; a `batch_coef` alone yields `coef` as its stack
+    of one. The Euler simulator calls `batch_coef` once per step on all
+    paths through `coefs_at`, the one place a stack is checked: its shape
+    (DimensionError, also for ragged or non-numeric rows) and finiteness
     (NonFiniteError). The coefficient must be total on R^p and Lipschitz;
     neither is checked. The callables are invoked from the thread that owns
     the object.
@@ -318,12 +318,12 @@ class GeneralSde:
         _check_positive_int(self.p, "p")
         _check_positive_int(self.d, "d")
         object.__setattr__(self, "x0", matkit.as_vector(self.x0, self.p, "x0"))
-        batch = self.batch_coef
-        if not callable(self.coef if batch is None else batch):
+        coef, batch = self.coef, self.batch_coef
+        if not callable(coef if batch is None else batch):
             raise DimensionError("coef must be callable")
         if batch is None:
-            object.__setattr__(self, "batch_coef", _row_loop(self.coef, self.p, self.d))
-        elif self.coef is None:
+            object.__setattr__(self, "batch_coef", lambda x: [coef(row) for row in x])
+        elif coef is None:
             object.__setattr__(self, "coef", lambda x: batch(np.asarray(x, dtype=float)[None])[0])
 
     def coefs_at(self, x: np.ndarray) -> np.ndarray:
@@ -347,18 +347,6 @@ class GeneralSde:
         return self.coefs_at(np.asarray(x, dtype=float)[None])[0]
 
 
-def _row_loop(coef: Callable[[np.ndarray], np.ndarray], p: int, d: int):
-    """The batched form of a one-state coefficient: one call per row."""
-
-    def batch(x: np.ndarray) -> np.ndarray:
-        out = np.empty((x.shape[0], p, d))
-        for i, row in enumerate(x):
-            out[i] = matkit.as_matrix(coef(row), p, d, "coef(x)")
-        return out
-
-    return batch
-
-
 def ou_as_general(model: OuModel) -> GeneralSde:
     """View an OU model as a general SDE driven by Z = (t, W).
 
@@ -378,20 +366,20 @@ def ou_as_general(model: OuModel) -> GeneralSde:
 def intervene_general(sde: GeneralSde, iv: Intervention) -> GeneralSde:
     """Pin coordinate m of a general SDE to the constant c.
 
-    The reduced coefficient evaluates the original one with c inserted at
-    position m and drops row m; the initial value drops coordinate m.
+    The reduced coefficient evaluates the original one through its
+    `coefs_at`, which checks it, with c inserted at position m, and drops
+    row m; the initial value drops coordinate m.
     """
     if sde.p < 2:
         raise DimensionError("cannot pin a coordinate of a 1-dimensional SDE")
     _check_coordinate(iv.m, sde.p)
     m, c = iv.m, iv.c
     keep = np.array([i for i in range(sde.p) if i != m - 1])
-    inner = sde.batch_coef
 
     def batch(y: np.ndarray) -> np.ndarray:
         x = np.empty((y.shape[0], sde.p))
         x[:, keep] = y
         x[:, m - 1] = c
-        return np.asarray(inner(x), dtype=float)[:, keep, :]
+        return sde.coefs_at(x)[:, keep, :]
 
     return GeneralSde(sde.p - 1, sde.d, sde.x0[keep], batch_coef=batch)

@@ -76,9 +76,9 @@ class StabilityReport:
     `spectral_abscissa` is the max over the matrix's blocks, one per
     strongly connected component, of an estimate accurate to `tol` (the
     midpoint of a bracket set by stability tests), exact for 1x1 blocks;
-    for fast-path screen entries it is an upper BOUND (see
-    `screen_principal_submatrices`). The Lyapunov
-    certificate X is not part of a report: `is_stable` returns it.
+    for fast-path screen entries (B exactly symmetric) it is an upper BOUND
+    (see `screen_principal_submatrices`). The Lyapunov certificate X is
+    not part of a report: `is_stable` returns it.
     """
 
     classification: Classification
@@ -166,10 +166,7 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray) -> list[tuple[bool, np.nd
                 phase[i] = 1
         if done:
             finished = [members[i] for i in done]
-            if len(done) == m:  # no copies when every member finishes at once
-                ok, xs = _checked(b, q, a, x)
-            else:
-                ok, xs = _checked(b[finished], q[finished], a[done], x[done])
+            ok, xs = _checked(b[finished], q[finished], a[done], x[done])
             for member, good, xm in zip(finished, ok.tolist(), xs):
                 if good:
                     results[member] = (True, xm)
@@ -216,7 +213,7 @@ def _square(b, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise DimensionError(f"B must be square, got {a.shape}")
     if not a.size:
         raise DimensionError("B must be nonempty")
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise DimensionError("tol must be positive")
     return a
 
@@ -381,12 +378,13 @@ def screen_principal_submatrices(
     submatrix reads as separate blocks, so the abscissae can differ within tol.
 
     Symmetric fast path: a symmetric stable matrix has only stable principal
-    submatrices (eigenvalue interlacing), so when B is symmetric and stable
+    submatrices (eigenvalue interlacing), so when B is exactly symmetric
+    (B == B^T; a nearly symmetric B can have an unstable one) and stable
     all entries are marked Stable without per-submatrix solves; their
     reported abscissa is then the parent's abscissa, which interlacing makes
-    a valid upper bound.
+    a valid upper bound. A tol that is not positive raises DimensionError.
     """
-    a = _square(b)
+    a = _square(b, tol)
     p = a.shape[0]
     max_removed = p - 1 if max_size_removed is None else min(max_size_removed, p - 1)
     if max_removed < 0:
@@ -401,7 +399,7 @@ def screen_principal_submatrices(
     removed = [frozenset(rm) for k in range(max_removed + 1)
                for rm in itertools.combinations(range(1, p + 1), k)]
     # One solve decides whether the fast path can apply; only then is B estimated.
-    if matkit.is_symmetric(a) and is_stable(a)[0]:
+    if np.array_equal(a, a.T) and is_stable(a)[0]:
         base = classify(a, tol)
         if base.classification is Classification.STABLE:
             return SubmatrixScreen(tuple((rm, base) for rm in removed), True, fast_path=True)
@@ -417,7 +415,7 @@ def verify_diagonal_certificate(b, diag) -> bool:
 
     The definiteness test is a Cholesky factorization of -(B D + D B^T).
     """
-    a = matkit.as_matrix(b, name="B")
+    a = _square(b)
     d = matkit.as_vector(diag, a.shape[0], "diag")
     if np.any(d <= 0.0):
         return False

@@ -287,6 +287,18 @@ def test_stability_submatrices_rows(tmp_path):
     assert rows == {"{}": "Stable", "{1}": "Stable", "{2}": "Unstable"}
 
 
+@pytest.mark.parametrize("b, row", [
+    ([[-2.0, 1.0], [1.0, -2.0]], "{},Stable,-1.0\n"),
+    ([[1.0, 2.0], [2.0, -3.0]], "{},Unstable,1.8284271247461898\n"),
+], ids=["stable", "unstable"])
+def test_stability_single_row_of_symmetric_b(tmp_path, b, row):
+    # The one row is the screen's empty-removal entry; on a symmetric B the
+    # screen first runs its fast-path gate, which must not change the bytes.
+    out = run_cli("stability", write_model(tmp_path, {**ROTATING, "B": b}))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "removed_set,classification,abscissa\n" + row
+
+
 # ---------------------------------------------------------------------- graph
 
 def test_graph_dot_bytes(tmp_path):
@@ -312,6 +324,12 @@ def test_graph_after_intervention(tmp_path):
         '  "X3" -> "X3";\n'
         '}\n'
     )
+
+
+def test_graph_nan_tolerance_is_a_dimension_error(tmp_path):
+    out = run_cli("graph", write_model(tmp_path, DEMO), "--tol", "nan")
+    assert (out.returncode, out.stdout) == (3, "")
+    assert "tol must be nonnegative" in out.stderr
 
 
 def test_graph_json(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,12 @@ def test_graph_tolerance():
     assert ("X2", "X1") not in dependence_graph(m, tol=1e-9).edges
 
 
+@pytest.mark.parametrize("tol", [-1.0, np.nan])
+def test_graph_tolerance_must_be_nonnegative(tol):
+    with pytest.raises(DimensionError, match="tol must be nonnegative"):
+        dependence_graph(demo_triangular(), tol=tol)
+
+
 def test_graph_of_reduced_model_is_restriction():
     rng = np.random.default_rng(33)
     for _ in range(20):
@@ -364,6 +372,42 @@ def test_general_matches_ou_reduction():
         y = rng.uniform(-4, 4, 3)
         diff = red_general.coef_at(y) - lift_general.coef_at(y)
         assert np.max(np.abs(diff)) <= 1e-12
+
+
+# Misshapen, ragged and non-finite coefficients of a p = 3, d = 2 SDE, as a
+# one-state `coef` (x -> value) and as a `batch_coef` (n rows -> value).
+_BAD_COEFS = {
+    "extra-column": (lambda x: np.ones((3, 3)), DimensionError),
+    "missing-row": (lambda x: np.ones((2, 2)), DimensionError),
+    "vector": (lambda x: np.ones(3), DimensionError),
+    "ragged": (lambda x: [[1.0, 1.0], [1.0], [1.0, 1.0]], DimensionError),
+    "nonfinite": (lambda x: np.full((3, 2), np.nan), NonFiniteError),
+}
+_BAD_BATCH_COEFS = {
+    "extra-column": (lambda x: np.ones((len(x), 3, 3)), DimensionError),
+    "missing-row": (lambda x: np.ones((len(x), 2, 2)), DimensionError),
+    "flat": (lambda x: np.ones((len(x), 3)), DimensionError),
+    "ragged": (lambda x: [np.ones((3, 2))] * (len(x) - 1) + [np.ones((3, 1))],
+               DimensionError),
+    "nonfinite": (lambda x: np.full((len(x), 3, 2), np.inf), NonFiniteError),
+}
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+@pytest.mark.parametrize("form, name", [("coef", k) for k in _BAD_COEFS]
+                         + [("batch_coef", k) for k in _BAD_BATCH_COEFS])
+def test_general_bad_coefficient_is_a_checked_error(form, name, levels):
+    # Every level of intervene_general evaluates the SDE it wraps through
+    # coefs_at, so the fault surfaces as the library's own error, never as
+    # an IndexError or ValueError from slicing an unchecked stack.
+    fn, error = (_BAD_COEFS if form == "coef" else _BAD_BATCH_COEFS)[name]
+    sde = GeneralSde(p=3, d=2, x0=np.zeros(3), **{form: fn})
+    for iv in [Intervention(2, 1.0), Intervention(1, -0.5)][:levels]:
+        sde = intervene_general(sde, iv)
+    with pytest.raises(error, match=re.escape("coef(x)")):
+        sde.coefs_at(np.zeros((2, sde.p)))
+    with pytest.raises(error, match=re.escape("coef(x)")):
+        sde.coef_at(np.zeros(sde.p))
 
 
 def test_ou_as_general_layout():

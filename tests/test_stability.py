@@ -45,11 +45,21 @@ def test_minus_identity_certificate():
 @pytest.mark.parametrize("call", [
     is_stable, spectral_abscissa, classify, screen_principal_submatrices,
     diagonal_lyapunov_certificate, lambda b: controllability_rank(b, np.zeros((0, 1))),
+    lambda b: verify_diagonal_certificate(b, np.ones(0)),
 ], ids=["is_stable", "spectral_abscissa", "classify", "screen_principal_submatrices",
-        "diagonal_lyapunov_certificate", "controllability_rank"])
+        "diagonal_lyapunov_certificate", "controllability_rank",
+        "verify_diagonal_certificate"])
 def test_empty_b_is_a_dimension_error(call):
     with pytest.raises(DimensionError, match="B must be nonempty"):
         call(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("call", [spectral_abscissa, classify, screen_principal_submatrices],
+                         ids=["spectral_abscissa", "classify", "screen_principal_submatrices"])
+def test_tol_must_be_positive(call, tol):
+    with pytest.raises(DimensionError, match="tol must be positive"):
+        call(np.array([[1.0, 0.5], [0.2, -2.0]]), tol=tol)
 
 
 # ---------------------------------------------------------- spectral abscissa
@@ -154,6 +164,28 @@ def test_screen_fast_path_matches_enumeration():
         assert fast_map == reference
 
 
+def test_screen_fast_path_needs_exact_symmetry():
+    # Within 1e-9 relative of symmetric and stable (abscissa -2e-8), but
+    # pinning X2 leaves diag(1e-7, -1000), which is unstable: interlacing
+    # holds only for an exactly symmetric B.
+    b = np.array([[1e-7, 2e-7, 0.0], [-2e-7, -1.4e-7, 0.0], [0.0, 0.0, -1000.0]])
+    assert matkit.is_symmetric(b) and is_stable(b)[0]
+    screen = screen_principal_submatrices(b)
+    assert not screen.fast_path
+    assert not screen.all_proper_principal_submatrices_stable
+    assert _entry(screen, ()).classification is Classification.STABLE
+    pinned, kept = _entry(screen, {2}), classify(principal_submatrix(b, [2]))
+    assert pinned.classification is Classification.UNSTABLE
+    assert (pinned.classification, pinned.spectral_abscissa) == (
+        kept.classification, kept.spectral_abscissa)
+
+
+def test_screen_triangular_b_with_subnormal_entry_takes_general_path():
+    # Symmetric within 1e-9 relative, which once sent it down the fast path.
+    b = np.array([[-1.0, 2.2e-311], [0.0, -1.0]])
+    assert not screen_principal_submatrices(b).fast_path
+
+
 def test_screen_max_size_restriction():
     screen = screen_principal_submatrices(-np.eye(4), max_size_removed=1)
     assert len(screen.entries) == 1 + 4
@@ -177,6 +209,11 @@ def test_verify_symmetric_stable_with_unit_diagonal():
 
 def test_verify_rejects_nonpositive_diagonal():
     assert not verify_diagonal_certificate(-np.eye(2), np.array([1.0, 0.0]))
+
+
+def test_verify_diagonal_certificate_needs_square_b():
+    with pytest.raises(DimensionError, match="B must be square"):
+        verify_diagonal_certificate(np.zeros((2, 3)), np.ones(2))
 
 
 def test_search_finds_certificate_for_minus_identity():

@@ -18,6 +18,7 @@ from oucausal.errors import (
     NonFiniteError,
     NoStationaryDistributionError,
     NotPositiveDefiniteError,
+    NotSymmetricError,
     PreconditionError,
 )
 from util import demo_triangular, gamma_by_quadrature, gershgorin_stable, random_triangular
@@ -37,6 +38,8 @@ def test_gaussian_law_validates_cov():
     GaussianLaw(np.zeros(2), np.eye(2))
     with pytest.raises(NotPositiveDefiniteError):
         GaussianLaw(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NotSymmetricError, match="cov is not symmetric"):
+        GaussianLaw(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 # ------------------------------------------------------- controllability rank
