@@ -60,8 +60,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be positive")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} must be positive and finite")
     return value
 
 
@@ -81,9 +81,7 @@ def _parse_set_flags(model: OuModel, pairs: list[str]) -> list[Intervention]:
 
 def _load_reduced(args) -> OuModel:
     """Load the model file and apply any interventions it lists."""
-    model, ivs = load_model_file(args.model)
-    if ivs:
-        model, _ = intervene_seq(model, ivs)
+    model, _ = intervene_seq(*load_model_file(args.model))
     return model
 
 
@@ -173,18 +171,17 @@ def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> li
 def cmd_simulate(args) -> str | list[str]:
     if args.coupled and args.method == "exact":
         raise ModelFileError("--coupled steps by Euler only; --method exact does not apply")
-    model, file_ivs = load_model_file(args.model)
-    grid = uniform_grid(args.t, args.steps)
-    iv = None
     if args.coupled:
+        model, file_ivs = load_model_file(args.model)
         if len(file_ivs) != 1:
             raise ModelFileError(
                 "--coupled needs exactly one intervention in the model file's "
                 f"'interventions' list, found {len(file_ivs)}"
             )
         iv = file_ivs[0]
-    elif file_ivs:
-        model, _ = intervene_seq(model, file_ivs)
+    else:
+        model, iv = _load_reduced(args), None
+    grid = uniform_grid(args.t, args.steps)
     result = run(model, grid, args.paths, args.seed, args.method or "exact", iv,
                  args.stats_only)
     if args.stats_only:

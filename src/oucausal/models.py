@@ -16,6 +16,12 @@ model and is applied left to right, each stage pinning one coordinate of
 the model the previous stage left. An InterventionRecord tells which
 original coordinates were pinned, to which constants, and which survive.
 Coordinate indices are 1-based on every user-facing surface.
+
+Every pin entry point (`intervene_ou`, `intervene_seq`, `intervene_general`
+and `intervened_dependence_graph`) checks its pins through one walk, so a
+bad pin raises the same error, with the same stage-numbered message, from
+each of them. The OU reduction itself is written once, in `intervene_seq`;
+`intervene_ou` is its one-stage case.
 """
 
 from __future__ import annotations
@@ -44,12 +50,6 @@ def _check_positive_int(value, name: str, error: type = DimensionError) -> None:
     """Raise `error` unless value is an int (not a bool) of at least 1."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_coordinate(m: int, p: int, prefix: str = "") -> None:
-    """Raise BadCoordinateError unless 1 <= m <= p."""
-    if not 1 <= m <= p:
-        raise BadCoordinateError(f"{prefix}coordinate {m} outside 1..{p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +159,12 @@ def _pins(labels: tuple[str, ...], ivs: Iterable[Intervention]):
     Raises BadCoordinateError naming the stage for an index outside 1..p
     and DuplicateInterventionError for a coordinate pinned twice.
     """
-    surviving = tuple(range(1, len(labels) + 1))
+    p = len(labels)
+    surviving = tuple(range(1, p + 1))
     fixed = ()
     for stage, iv in enumerate(ivs, start=1):
-        _check_coordinate(iv.m, len(labels), f"stage {stage}: ")
+        if not 1 <= iv.m <= p:
+            raise BadCoordinateError(f"stage {stage}: coordinate {iv.m} outside 1..{p}")
         if iv.m not in surviving:
             raise DuplicateInterventionError(
                 f"coordinate {labels[iv.m - 1]!r} was already pinned"
@@ -173,42 +175,12 @@ def _pins(labels: tuple[str, ...], ivs: Iterable[Intervention]):
         yield m_now, InterventionRecord(labels, fixed, surviving)
 
 
-def _reduce_once(model: OuModel, m: int, c: float) -> OuModel:
-    """Pin the coordinate at current 1-based index m of the model to c."""
-    if model.p < 2:
-        raise DimensionError("cannot pin a coordinate of a 1-dimensional model")
-    _check_coordinate(m, model.p)
-    keep = [i for i in range(model.p) if i != m - 1]
-    b_red = model.B[np.ix_(keep, keep)]
-    alpha = model.A[keep]
-    beta = model.B[keep, m - 1] * (c - model.A[m - 1])
-    try:
-        correction = matkit.solve_linear(b_red, beta)
-    except SingularMatrixError as exc:
-        raise SingularReducedMatrixError(
-            f"reduced mean-reversion block is singular after pinning "
-            f"coordinate {model.labels[m - 1]!r}: {exc}"
-        )
-    return OuModel(
-        p=model.p - 1,
-        d=model.d,
-        x0=model.x0[keep],
-        A=alpha - correction,
-        B=b_red,
-        sigma=model.sigma[keep, :],
-        labels=tuple(model.labels[i] for i in keep),
-    )
-
-
 def intervene_ou(model: OuModel, iv: Intervention) -> tuple[OuModel, InterventionRecord]:
     """Pin one coordinate of an OU model; returns the reduced model and record.
 
-    Raises SingularReducedMatrixError when the reduced mean-reversion block
-    is not invertible and BadCoordinateError when iv.m is out of range.
+    The one-stage `intervene_seq`, so its errors are those of stage 1.
     """
-    reduced = _reduce_once(model, iv.m, iv.c)
-    [(_, record)] = _pins(model.labels, [iv])
-    return reduced, record
+    return intervene_seq(model, [iv])
 
 
 def intervene_seq(
@@ -219,17 +191,35 @@ def intervene_seq(
     Indices are interpreted against the ORIGINAL coordinates, so "pin X3
     then X1" keeps its meaning after the first reduction. An index outside
     1..p raises BadCoordinateError naming its 1-based stage, pinning the
-    same original coordinate twice raises DuplicateInterventionError, and a
-    singular reduced block raises SingularReducedMatrixError carrying the
-    stage.
+    same original coordinate twice raises DuplicateInterventionError,
+    pinning the last coordinate left raises DimensionError, and a singular
+    reduced block raises SingularReducedMatrixError carrying the stage.
     """
     current = model
     record = InterventionRecord(model.labels, (), tuple(range(1, model.p + 1)))
-    for stage, (m_now, record) in enumerate(_pins(model.labels, ivs), start=1):
+    for stage, (m, record) in enumerate(_pins(model.labels, ivs), start=1):
+        if current.p < 2:
+            raise DimensionError("cannot pin a coordinate of a 1-dimensional model")
+        keep = [i for i in range(current.p) if i != m - 1]
+        b_red = current.B[np.ix_(keep, keep)]
+        beta = current.B[keep, m - 1] * (record.fixed[-1][1] - current.A[m - 1])
         try:
-            current = _reduce_once(current, m_now, record.fixed[-1][1])
-        except SingularReducedMatrixError as exc:
-            raise SingularReducedMatrixError(f"stage {stage}: {exc}", stage=stage)
+            correction = matkit.solve_linear(b_red, beta)
+        except SingularMatrixError as exc:
+            raise SingularReducedMatrixError(
+                f"stage {stage}: reduced mean-reversion block is singular after "
+                f"pinning coordinate {current.labels[m - 1]!r}: {exc}",
+                stage=stage,
+            )
+        current = OuModel(
+            p=current.p - 1,
+            d=current.d,
+            x0=current.x0[keep],
+            A=current.A[keep] - correction,
+            B=b_red,
+            sigma=current.sigma[keep, :],
+            labels=tuple(current.labels[i] for i in keep),
+        )
     return current, record
 
 
@@ -366,20 +356,21 @@ def ou_as_general(model: OuModel) -> GeneralSde:
 def intervene_general(sde: GeneralSde, iv: Intervention) -> GeneralSde:
     """Pin coordinate m of a general SDE to the constant c.
 
-    The reduced coefficient evaluates the original one through its
-    `coefs_at`, which checks it, with c inserted at position m, and drops
-    row m; the initial value drops coordinate m.
+    The pin is checked as stage 1 of `intervene_seq` checks it, before the
+    dimension: BadCoordinateError for m outside 1..p, then DimensionError
+    for a 1-dimensional SDE. The reduced coefficient evaluates the original
+    one through its `coefs_at`, which checks it, with c inserted at position
+    m, and drops row m; the initial value drops coordinate m.
     """
+    [(m, _)] = _pins(default_labels(sde.p), [iv])
     if sde.p < 2:
         raise DimensionError("cannot pin a coordinate of a 1-dimensional SDE")
-    _check_coordinate(iv.m, sde.p)
-    m, c = iv.m, iv.c
     keep = np.array([i for i in range(sde.p) if i != m - 1])
 
     def batch(y: np.ndarray) -> np.ndarray:
         x = np.empty((y.shape[0], sde.p))
         x[:, keep] = y
-        x[:, m - 1] = c
+        x[:, m - 1] = iv.c
         return sde.coefs_at(x)[:, keep, :]
 
     return GeneralSde(sde.p - 1, sde.d, sde.x0[keep], batch_coef=batch)

@@ -213,8 +213,8 @@ def _square(b, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise DimensionError(f"B must be square, got {a.shape}")
     if not a.size:
         raise DimensionError("B must be nonempty")
-    if not tol > 0:  # also rejects NaN
-        raise DimensionError("tol must be positive")
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise DimensionError("tol must be positive and finite")
     return a
 
 
@@ -382,7 +382,8 @@ def screen_principal_submatrices(
     (B == B^T; a nearly symmetric B can have an unstable one) and stable
     all entries are marked Stable without per-submatrix solves; their
     reported abscissa is then the parent's abscissa, which interlacing makes
-    a valid upper bound. A tol that is not positive raises DimensionError.
+    a valid upper bound. A tol that is not positive and finite raises
+    DimensionError.
     """
     a = _square(b, tol)
     p = a.shape[0]

@@ -53,7 +53,7 @@ class GaussianLaw:
         cov = matkit.as_matrix(self.cov, mean.shape[0], mean.shape[0], "cov")
         if not matkit.is_symmetric(cov):
             raise NotSymmetricError("cov is not symmetric within 1e-9 relative")
-        ridge = 1e-12 * float(np.trace(cov)) / mean.shape[0]
+        ridge = 1e-12 * float((np.diagonal(cov) / mean.shape[0]).sum())
         try:
             matkit.cholesky(cov + ridge * np.eye(mean.shape[0]))
         except (NotPositiveDefiniteError, NotSymmetricError) as exc:

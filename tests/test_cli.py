@@ -299,6 +299,15 @@ def test_stability_single_row_of_symmetric_b(tmp_path, b, row):
     assert out.stdout == "removed_set,classification,abscissa\n" + row
 
 
+@pytest.mark.parametrize("command", ["stability", "describe"])
+def test_infinite_tol_is_a_parse_error(tmp_path, command):
+    # An infinite band would read every B as SemistableNotStable.
+    doc = {**ROTATING, "B": [[1.0, 2.0], [2.0, -3.0]]}
+    out = run_cli(command, write_model(tmp_path, doc), "--tol", "inf")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "must be positive and finite" in out.stderr
+
+
 # ---------------------------------------------------------------------- graph
 
 def test_graph_dot_bytes(tmp_path):
@@ -377,6 +386,15 @@ def test_simulate_coupled_columns(tmp_path):
 def test_simulate_coupled_needs_one_intervention(tmp_path):
     out = run_cli("simulate", write_model(tmp_path, DEMO), "--coupled")
     assert out.returncode == 2
+
+
+def test_simulate_coupled_singular_pin_exits_4(tmp_path):
+    doc = dict(ROTATING, B=[[0.0, 1.0], [1.0, 0.0]],
+               interventions=[{"on": "X1", "value": 1.0}])
+    out = run_cli("simulate", write_model(tmp_path, doc), "--coupled",
+                  "--steps", "2", "--paths", "2")
+    assert (out.returncode, out.stdout) == (4, "")
+    assert out.stderr.startswith("error: stage 1: ")
 
 
 def test_simulate_validates_counts(tmp_path):

@@ -151,7 +151,7 @@ def test_intervene_sigma_row_removed():
 
 def test_intervene_bad_coordinate():
     m = demo_triangular()
-    with pytest.raises(BadCoordinateError, match=r"^coordinate 4 outside 1\.\.3$"):
+    with pytest.raises(BadCoordinateError, match=r"^stage 1: coordinate 4 outside 1\.\.3$"):
         intervene_ou(m, Intervention(4, 0.0))
     with pytest.raises(BadCoordinateError, match=r"^stage 2: coordinate 4 outside 1\.\.3$"):
         intervene_seq(m, [Intervention(1, 0.0), Intervention(4, 0.0)])
@@ -162,8 +162,37 @@ def test_intervene_bad_coordinate():
 def test_intervene_singular_reduced_block():
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
     m = OuModel(p=2, d=2, x0=np.zeros(2), A=np.zeros(2), B=b, sigma=np.eye(2))
-    with pytest.raises(SingularReducedMatrixError):
+    with pytest.raises(SingularReducedMatrixError, match="^stage 1: ") as info:
         intervene_ou(m, Intervention(1, 2.0))
+    assert info.value.stage == 1
+
+
+PIN_ENTRY_POINTS = {
+    "intervene_ou": intervene_ou,
+    "intervene_seq": lambda m, iv: intervene_seq(m, [iv]),
+    "intervene_general": lambda m, iv: intervene_general(ou_as_general(m), iv),
+    "intervened_dependence_graph": intervened_dependence_graph,
+}
+
+
+@pytest.mark.parametrize("entry", PIN_ENTRY_POINTS)
+@pytest.mark.parametrize("p, m", [(1, 2), (3, 5), (1, 1)],
+                         ids=["X2-of-1d", "X5-of-3d", "X1-of-1d"])
+def test_every_pin_entry_point_checks_a_pin_alike(entry, p, m):
+    model = OuModel(p=p, d=1, x0=np.zeros(p), A=np.zeros(p), B=-np.eye(p),
+                    sigma=np.ones((p, 1)))
+    call = lambda: PIN_ENTRY_POINTS[entry](model, Intervention(m, 0.0))
+    if m > p:
+        with pytest.raises(BadCoordinateError,
+                           match=rf"^stage 1: coordinate {m} outside 1\.\.{p}$"):
+            call()
+    elif entry == "intervened_dependence_graph":
+        # Nothing is reduced: the pinned X1 only loses its self-loop.
+        assert call().edges == ()
+    else:
+        with pytest.raises(DimensionError,
+                           match=r"^cannot pin a coordinate of a 1-dimensional (model|SDE)$"):
+            call()
 
 
 # -------------------------------------------------------------- intervene_seq

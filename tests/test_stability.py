@@ -54,7 +54,7 @@ def test_empty_b_is_a_dimension_error(call):
         call(np.zeros((0, 0)))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 @pytest.mark.parametrize("call", [spectral_abscissa, classify, screen_principal_submatrices],
                          ids=["spectral_abscissa", "classify", "screen_principal_submatrices"])
 def test_tol_must_be_positive(call, tol):

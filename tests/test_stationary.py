@@ -36,6 +36,8 @@ def _model(b, sigma, a=None, rng=None):
 
 def test_gaussian_law_validates_cov():
     GaussianLaw(np.zeros(2), np.eye(2))
+    # The ridge scales with the trace, which overflows here; the entries do not.
+    GaussianLaw(np.zeros(3), np.diag([7e307] * 3))
     with pytest.raises(NotPositiveDefiniteError):
         GaussianLaw(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotSymmetricError, match="cov is not symmetric"):
