@@ -3,18 +3,23 @@
 Subcommands: describe, intervene, stationary, stability, graph, simulate.
 Reports are JSON, bulk path data is CSV, graphs can be emitted as DOT.
 Commands read one model file and write one result to stdout (or --output);
-nothing is written on error. Exit codes: 0 success, 2 parse/usage errors,
-3 dimension or finiteness errors, 4 singular reduced block or duplicate
-intervention, 5 simulated paths overflow (the model diverges over the
-horizon), 1 other failures.
+nothing is written on error. Exit codes: 0 success, 2 parse/usage errors
+or an --output file that cannot be written, 3 dimension or finiteness
+errors, 4 singular reduced block or duplicate intervention, 5 simulated
+paths overflow (the model diverges over the horizon), 1 other failures,
+including stdout closed by its reader (broken pipe).
+`main` may be called repeatedly in one process: it builds its parser once
+and looks each command's handler up by name.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -204,43 +209,45 @@ def _stats_json(grid, labels, n_paths: int, stats) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one shared parser of this process, built on first use. Callers
+    must not mutate it. `main` finds the handler of a parsed command by name
+    (`cmd_<command>`), so the parser holds no function objects."""
     parser = argparse.ArgumentParser(
         prog="oucausal",
         description="Analyze and simulate interventions in Ornstein-Uhlenbeck SDE models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to a JSON model file")
         p.add_argument("-o", "--output", help="write the result to this file")
-        p.set_defaults(handler=handler)
         return p
 
-    p = add("describe", cmd_describe,
-            "dimensions, stability, controllability, stationary law")
+    p = add("describe", "dimensions, stability, controllability, stationary law")
     p.add_argument("--tol", type=_positive_float, default=stab.DEFAULT_TOL,
                    help="spectral abscissa tolerance (default 1e-9)")
 
-    p = add("intervene", cmd_intervene, "pin coordinates and emit the reduced model")
+    p = add("intervene", "pin coordinates and emit the reduced model")
     p.add_argument("--set", action="append", metavar="LABEL=VALUE",
                    help="pin a coordinate (label or 1-based index); repeatable")
 
-    add("stationary", cmd_stationary, "stationary mean and covariance as JSON")
+    add("stationary", "stationary mean and covariance as JSON")
 
-    p = add("stability", cmd_stability, "stability classification as CSV")
+    p = add("stability", "stability classification as CSV")
     p.add_argument("--submatrices", action="store_true",
                    help="also classify every proper principal submatrix")
     p.add_argument("--tol", type=_positive_float, default=stab.DEFAULT_TOL,
                    help="spectral abscissa tolerance (default 1e-9)")
 
-    p = add("graph", cmd_graph, "dependence graph as JSON or DOT")
+    p = add("graph", "dependence graph as JSON or DOT")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.add_argument("--tol", type=float, default=0.0,
                    help="edge threshold on |b_ij| (default 0: structural zeros)")
 
-    p = add("simulate", cmd_simulate, "simulate paths as CSV or summary JSON")
+    p = add("simulate", "simulate paths as CSV or summary JSON")
     p.add_argument("--t", type=_positive_float, default=1.0,
                    help="final time (default 1.0)")
     p.add_argument("--steps", type=_positive_int, default=100,
@@ -262,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args)  # a string, or CSV chunks to write in order
+        # Looked up at call time, so a handler replaced after the parser was
+        # built is the one that runs.
+        text = globals()["cmd_" + args.command](args)  # a string, or CSV chunks
     except (OuCausalError, MemoryError) as exc:  # the union of _EXIT_CODES
         code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
         prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
@@ -270,8 +279,22 @@ def main(argv=None) -> int:
         return code
     chunks = [text] if isinstance(text, str) else text
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-    else:
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
+        return 0
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`). Only a stream with a real
+        # descriptor raises this; pointing it at devnull keeps the
+        # interpreter's final flush of what is still buffered silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0

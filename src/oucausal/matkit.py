@@ -143,7 +143,7 @@ def cholesky_pivots(m: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray
     Past a zeroed pivot of an indefinite M later entries can overflow
     (silently); callers of such an M read the pivots up to the first failure.
     """
-    a = 0.5 * (m + m.T)
+    a = 0.5 * m + 0.5 * m.T  # halving first: entries near the float64 max stay finite
     n = a.shape[0]
     low = np.zeros_like(a)
     pivots = np.empty(n)
@@ -162,8 +162,8 @@ def cholesky(m) -> np.ndarray:
     """Lower-triangular L with L L^T = M for symmetric positive-definite M.
 
     The input must pass `is_symmetric` (else NotSymmetricError); it is
-    explicitly symmetrized before factoring. A pivot <= `pivot_limit(M)`
-    raises NotPositiveDefiniteError.
+    explicitly symmetrized before factoring. A pivot that is not above
+    `pivot_limit(M)`, NaN included, raises NotPositiveDefiniteError.
     """
     a = as_matrix(m, name="M")
     _require_square(a, "M")
@@ -174,7 +174,7 @@ def cholesky(m) -> np.ndarray:
         )
     limit = pivot_limit(a)
     low, pivots = cholesky_pivots(a, limit)
-    failed = np.flatnonzero(pivots <= limit)
+    failed = np.flatnonzero(~(pivots > limit))  # a NaN pivot fails too
     if failed.size:
         j = int(failed[0])
         raise NotPositiveDefiniteError(

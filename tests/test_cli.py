@@ -653,3 +653,77 @@ def test_cli_imports_no_private_name_from_the_package():
                and (node.level > 0 or (node.module or "").split(".")[0] == "oucausal")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# ------------------------------------------------------------ output failures
+
+@pytest.mark.parametrize("target", ["", "missing/report.json"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    path = write_model(tmp_path, DEMO)
+    code = cli.main(["describe", path, "-o", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: [Errno ")
+    assert captured.err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path):
+    # About 12 MB of CSV, far more than a pipe buffers.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oucausal", "simulate", write_model(tmp_path, DEMO),
+         "--paths", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "path,t,X1,X2,X3\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""
+
+
+# ------------------------------------------------------- one parser per process
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # Each pair runs a command with a flag, then without it: the cached
+    # parser must not carry a value from one call into the next.
+    m = write_model(tmp_path, DEMO, "m.json")
+    p = write_model(tmp_path, PINNED_DEMO, "p.json")
+    small = ["--paths", "20", "--steps", "5", "--method", "euler"]
+    sequence = [
+        ["intervene", m, "--set", "X1=1"], ["intervene", m],
+        ["simulate", p, "--coupled", "--stats-only", *small], ["simulate", p, "--stats-only", *small],
+        ["stability", m, "--submatrices"], ["stability", m],
+        ["graph", m, "--tol", "0.5"], ["graph", m],
+    ]
+    for argv in sequence:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, captured.out, captured.err) == (0, fresh.stdout, fresh.stderr), argv
+        assert fresh.returncode == 0
+
+
+def test_handler_replaced_after_the_parser_is_built_runs(tmp_path, capsys, monkeypatch):
+    path = write_model(tmp_path, DEMO)
+    assert cli.main(["describe", path]) == 0
+    monkeypatch.setattr(cli, "cmd_describe", lambda args: f"patched {args.tol}\n")
+    assert cli.main(["describe", path, "--tol", "0.5"]) == 0
+    assert capsys.readouterr().out.endswith("patched 0.5\n")
+
+
+def test_valid_call_after_a_usage_error(tmp_path, capsys):
+    path = write_model(tmp_path, DEMO)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate", path, "--paths", "0"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    fresh = run_cli("simulate", path, "--paths", "0")
+    assert (captured.out, captured.err) == ("", fresh.stderr)
+    assert captured.err.endswith("error: argument --paths: '0' must be >= 1\n")
+    assert _run_in_process(capsys, "stationary", path) == run_cli("stationary", path).stdout

@@ -148,6 +148,57 @@ def test_cholesky_overflowing_pivot_raises_without_warning():
             matkit.cholesky([[1e285, 1e300], [1e300, 1.0]])
 
 
+HUGE_INDEFINITE = np.array([[1e308, 1.5e308], [1.5e308, 1e308]])  # eigenvalues 2.5e308, -5e307
+
+
+def test_cholesky_rejects_indefinite_matrix_near_float64_max():
+    # Symmetrizing as 0.5 * (M + M^T) made every entry inf and the pivots
+    # [inf, nan]; the NaN passed the `<= limit` test.
+    with pytest.raises(NotPositiveDefiniteError, match="pivot -inf at step 2"):
+        matkit.cholesky(HUGE_INDEFINITE)
+    with pytest.raises(NotPositiveDefiniteError, match=(
+            r"^pivot -1\.250e\+307 at step 2 is below the threshold 6\.661e\+291$")):
+        matkit.cholesky(HUGE_INDEFINITE / 10)
+    low = matkit.cholesky(np.diag([1e308, 1e308]))
+    assert np.array_equal(low, np.diag([1e154, 1e154]))
+
+
+def test_cholesky_nan_pivot_fails(monkeypatch):
+    def nan_second_pivot(m, limit):
+        return np.eye(2), np.array([1.0, np.nan])
+
+    monkeypatch.setattr(matkit, "cholesky_pivots", nan_second_pivot)
+    with pytest.raises(NotPositiveDefiniteError, match="pivot nan at step 2"):
+        matkit.cholesky(np.eye(2))
+
+
+def test_cholesky_pivots_halving_first_matches_halving_the_sum():
+    # 0.5 * M + 0.5 * M^T is 0.5 * (M + M^T) bit for bit wherever the sum
+    # is finite and no entry is subnormal.
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        low = np.tril(rng.standard_normal((n, n)))
+        low[np.arange(n), np.arange(n)] = rng.uniform(0.5, 2.0, n)
+        m = (low @ low.T + 1e-3 * rng.standard_normal((n, n))) * 10.0 ** rng.uniform(-150, 150)
+        assert np.array_equal(0.5 * m + 0.5 * m.T, 0.5 * (m + m.T))
+        limit = matkit.pivot_limit(m)
+        got, reference = matkit.cholesky_pivots(m, limit), _halved_sum_pivots(m, limit)
+        assert all(np.array_equal(g, r) for g, r in zip(got, reference))
+
+
+def _halved_sum_pivots(m, limit):
+    a = 0.5 * (m + m.T)
+    n = a.shape[0]
+    low, pivots = np.zeros_like(a), np.empty(n)
+    for j in range(n):
+        pivots[j] = a[j, j] - low[j, :j] @ low[j, :j]
+        if pivots[j] > limit:
+            low[j, j] = np.sqrt(pivots[j])
+            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low, pivots
+
+
 def test_cholesky_asymmetric_rejected():
     with pytest.raises(NotSymmetricError):
         matkit.cholesky([[1.0, 0.1], [0.0, 1.0]])

@@ -44,6 +44,17 @@ def test_gaussian_law_validates_cov():
         GaussianLaw(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_gaussian_law_rejects_indefinite_cov_near_float64_max():
+    # Eigenvalues 2.5e308 and -5e307; every entry is finite.
+    huge = np.array([[1e308, 1.5e308], [1.5e308, 1e308]])
+    with pytest.raises(NotPositiveDefiniteError, match="pivot -inf at step 2"):
+        GaussianLaw(np.zeros(2), huge)
+    with pytest.raises(NotPositiveDefiniteError, match=(
+            r"^cov is not positive semidefinite: pivot -1\.250e\+307 at step 2 ")):
+        GaussianLaw(np.zeros(2), huge / 10)
+    GaussianLaw(np.zeros(2), np.diag([1e308, 1e308]))
+
+
 # ------------------------------------------------------- controllability rank
 
 def test_controllability_identity_sigma():
