@@ -211,9 +211,8 @@ def _stats_json(grid, labels, n_paths: int, stats) -> str:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one shared parser of this process, built on first use. Callers
-    must not mutate it. `main` finds the handler of a parsed command by name
-    (`cmd_<command>`), so the parser holds no function objects."""
+    """The one shared parser of this process, built on first use; callers
+    must not mutate it. It holds no handlers: `main` finds `cmd_<command>`."""
     parser = argparse.ArgumentParser(
         prog="oucausal",
         description="Analyze and simulate interventions in Ornstein-Uhlenbeck SDE models",
