@@ -7,7 +7,9 @@ nothing is written on error. Exit codes: 0 success, 2 parse/usage errors
 or an --output file that cannot be written, 3 dimension or finiteness
 errors, 4 singular reduced block or duplicate intervention, 5 simulated
 paths overflow (the model diverges over the horizon), 1 other failures,
-including stdout closed by its reader (broken pipe).
+including stdout closed by its reader (broken pipe, no message) and any
+other stdout write failure, such as a full disk, which prints
+`error: cannot write output: ...`.
 `main` may be called repeatedly in one process: it builds its parser once
 and looks each command's handler up by name.
 """
@@ -288,10 +290,13 @@ def main(argv=None) -> int:
     try:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe (`| head`). Only a stream with a real
-        # descriptor raises this; pointing it at devnull keeps the
+    except OSError as exc:
+        # A reader that closed the pipe (`| head`) needs no message; any
+        # other failure (a full disk) names its error. Only a stream with a
+        # real descriptor raises these; pointing it at devnull keeps the
         # interpreter's final flush of what is still buffered silent.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

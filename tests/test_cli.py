@@ -682,6 +682,17 @@ def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path):
     assert stderr == ""  # no traceback, no message
 
 
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_stdout_exits_1_with_one_line_message(tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oucausal", "describe", write_model(tmp_path, DEMO)],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: [Errno 28] ")
+    assert proc.stderr.count("\n") == 1  # no traceback
+
+
 # ------------------------------------------------------- one parser per process
 
 def test_parser_is_built_once():

@@ -264,7 +264,7 @@ def _counting_solves(monkeypatch):
     calls = []
     solve = stability.solve_lyapunov_stack
     monkeypatch.setattr(stability, "solve_lyapunov_stack",
-                        lambda b, q: calls.append(len(b)) or solve(b, q))
+                        lambda b, q, *args: calls.append(len(b)) or solve(b, q, *args))
     return calls
 
 
@@ -300,18 +300,87 @@ def test_stacked_abscissae_equal_serial_and_eigvals(stack):
 
 def test_members_leave_a_two_step_stack_at_different_solves(monkeypatch):
     # The first solve tests two shifts per member. The dense member passes
-    # its check there. The other, -1.25 J (J all ones) with two entries
-    # changed, has a defective eigenvalue 0, which eigvals reads as 4e-16:
-    # the sign function finds B - (h + 0.45 tol) I not stable, so the
-    # member bisects alone and ends where the serial bisection does.
+    # its check there. The other, Q(-I + 10N)Q^T at p=5, has every
+    # eigenvalue at -1, which eigvals reads as about -0.95: the sign function
+    # finds B - (h - 0.45 tol) I stable too, so the member bisects alone and
+    # ends where the serial bisection does.
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))[0]
+    non_normal = q @ (-np.eye(5) + 10.0 * np.eye(5, k=1)) @ q.T
+    dense = np.random.default_rng(5).standard_normal((5, 5)) - 2.0 * np.eye(5)
+    stack = np.array([non_normal, dense])
+    calls = _counting_solves(monkeypatch)
+    estimates = stability._abscissae(stack, stability.DEFAULT_TOL)
+    assert estimates[0] == _reference_abscissa(non_normal)
+    _check_estimate(dense, estimates[1], _reference_abscissa(dense))
+    assert calls[0] == 4 and len(calls) > 1 and set(calls[1:]) == {1}
+
+
+def test_defective_member_is_certified_by_its_check(monkeypatch):
+    # -1.25 J (J all ones) with two entries changed has a defective
+    # eigenvalue 0, which eigvals reads as 4e-16. The check's solve, scaled
+    # from those estimates, certifies the hint; the estimate still passes
+    # the oracles of the serial solver, which scales by the determinant.
     defective = np.full((5, 5), -1.25)
     defective[1, 0], defective[2, 3] = 2.0, 0.0
-    dense = np.random.default_rng(5).standard_normal((5, 5)) - 2.0 * np.eye(5)
-    stack = np.array([defective, dense])
     calls = _counting_solves(monkeypatch)
-    for b, abscissa in zip(stack, stability._abscissae(stack, stability.DEFAULT_TOL)):
-        _check_estimate(b, abscissa, _reference_abscissa(b))
-    assert calls[0] == 4 and len(calls) > 1 and set(calls[1:]) == {1}
+    [abscissa] = stability._abscissae(defective[None], stability.DEFAULT_TOL)
+    _check_estimate(defective, abscissa, _reference_abscissa(defective))
+    assert calls == [2]
+
+
+def test_check_near_a_complex_pair_takes_few_steps(monkeypatch):
+    # Each member's rightmost eigenvalues are the pair -0.3 +- 2i, so the
+    # check puts a complex pair within 0.45 tol of the axis. Scaled from the
+    # eigenvalue estimates, its solve takes at most 10 steps (one stacked inv
+    # each); determinantal scaling takes more than 20 on the same stack.
+    rng = np.random.default_rng(0)
+    stack = []
+    for _ in range(4):
+        core = np.zeros((6, 6))
+        core[:2, :2] = [[-0.3, 2.0], [-2.0, -0.3]]
+        core[2:4, 2:4] = [[-1.0, 0.5], [-0.5, -1.0]]
+        core[4:, 4:] = np.diag([-1.5, -2.5])
+        core[0, 2:] = rng.standard_normal(4)
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        stack.append(q @ core @ q.T)
+    stack = np.array(stack)
+    steps, checks = [], []
+    inv, solve = np.linalg.inv, stability.solve_lyapunov_stack
+
+    def counting_inv(a):
+        steps[-1] += 1
+        return inv(a)
+
+    def counting_solve(b, q, eigs=None):
+        steps.append(0)
+        result = solve(b, q, eigs)
+        if eigs is not None:
+            checks.append((b, steps[-1]))
+        return result
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(stability, "solve_lyapunov_stack", counting_solve)
+    estimates = stability._abscissae(stack, stability.DEFAULT_TOL)
+    assert len(steps) == 1 and len(checks) == 1 and checks[0][1] <= 10
+    assert all(abs(a + 0.3) <= stability.DEFAULT_TOL for a in estimates)
+    steps.append(0)
+    solve(checks[0][0], np.broadcast_to(np.eye(6), checks[0][0].shape))
+    assert steps[-1] > 20
+
+
+def test_zero_modulus_estimate_leaves_the_member_to_bisection(monkeypatch):
+    # eigvals reads this triangular B's eigenvalues exactly: the hint h = -1
+    # and h - 0.45 tol. At that shift an estimate is exactly 0, which cannot
+    # scale a step, so no check is run and the member bisects.
+    tol = stability.DEFAULT_TOL
+    b = np.array([[-1.0, 1.0], [0.0, -1.0 - 0.45 * tol]])
+    assert sorted(np.linalg.eigvals(b).real.tolist()) == [-1.0 - 0.45 * tol, -1.0]
+    scaled = []
+    solve = stability.solve_lyapunov_stack
+    monkeypatch.setattr(stability, "solve_lyapunov_stack",
+                        lambda b, q, eigs=None: scaled.append(eigs is not None) or solve(b, q, eigs))
+    assert stability._abscissae(b[None], tol) == [_reference_abscissa(b, tol)]
+    assert len(scaled) > 1 and not any(scaled)
 
 
 def test_non_normal_input_falls_back_to_bisection(monkeypatch):

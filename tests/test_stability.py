@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,14 @@ def test_verify_symmetric_stable_with_unit_diagonal():
 
 def test_verify_rejects_nonpositive_diagonal():
     assert not verify_diagonal_certificate(-np.eye(2), np.array([1.0, 0.0]))
+
+
+def test_verify_certificate_near_float64_max():
+    # B D + D B^T would overflow at -2e308; the check halves before the sum.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_diagonal_certificate(-1e308 * np.eye(3), np.ones(3))
+        assert not verify_diagonal_certificate(1e308 * np.eye(3), np.ones(3))
 
 
 def test_verify_diagonal_certificate_needs_square_b():
