@@ -154,7 +154,10 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray,
     members = list(range(m))  # stack position -> member
     phase = [0] * m  # 0 while scaling, then 1 + the unscaled steps taken
     results = [(False, None)] * m
-    mu = None if eigs is None else eigs / unit[:, 0]  # images of the estimates
+    finished, ends = [], []  # members at phase 3, and their final (B_k, Q_k)
+    # Images of the estimates, one column per member: reducing over the rows
+    # of a C-ordered (p, m) array is far cheaper than over short rows.
+    mu = None if eigs is None else np.ascontiguousarray(eigs.T) / unit.ravel()
     for step in range(_SIGN_MAX_ITER):
         try:
             inv = np.linalg.inv(a)
@@ -167,13 +170,13 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray,
             else:
                 r = np.abs(mu)
                 if step:
-                    c = 1.0 / np.sqrt(r.min(axis=1) * r.max(axis=1))
+                    c = 1.0 / np.sqrt(r.min(axis=0) * r.max(axis=0))
                 else:  # the image nearest the axis in angle lands on the real axis
-                    c = 1.0 / r[np.arange(len(r)), np.argmin(np.abs(mu.real) / r, axis=1)]
+                    c = 1.0 / r[np.argmin(np.abs(mu.real) / r, axis=0), np.arange(r.shape[1])]
             if any(phase):  # members past scaling keep c = 1
                 c[np.array(phase) > 0] = 1.0
             if mu is not None:
-                mu = c[:, None] * mu
+                mu = c * mu
                 mu = 0.5 * (mu + 1.0 / mu)
             # A stack of one takes c as a scalar, which is cheaper to broadcast.
             c = c[:, None, None] if m > 1 else c[0]
@@ -195,20 +198,22 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray,
             elif changes[i] <= 1e-3 * size:
                 phase[i] = 1
         if done:
-            finished = [members[i] for i in done]
-            ok, xs = _checked(b[finished], q[finished], a[done], x[done])
-            for member, good, xm in zip(finished, ok.tolist(), xs):
-                if good:
-                    results[member] = (True, xm)
+            finished += [members[i] for i in done]
+            ends.append((a[done], x[done]))
         if done or failed:  # members at phase -1 or 3 leave the stack
             stay = [i for i, k in enumerate(phase) if 0 <= k < 3]
             if not stay:
                 break
             a, x = a[stay], x[stay]
             if mu is not None:
-                mu = mu[stay]
+                mu = mu[:, stay]
             members = [members[i] for i in stay]
             phase = [phase[i] for i in stay]
+    if finished:  # one check for all, whenever they finished
+        ok, xs = _checked(b[finished], q[finished], *map(np.concatenate, zip(*ends)))
+        for member, good, xm in zip(finished, ok.tolist(), xs):
+            if good:
+                results[member] = (True, xm)
     # Members left in the stack hit the cap: eigenvalues on the axis.
     return results
 
