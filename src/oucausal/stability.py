@@ -155,8 +155,7 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray,
     phase = [0] * m  # 0 while scaling, then 1 + the unscaled steps taken
     results = [(False, None)] * m
     finished, ends = [], []  # members at phase 3, and their final (B_k, Q_k)
-    # Images of the estimates, one column per member: reducing over the rows
-    # of a C-ordered (p, m) array is far cheaper than over short rows.
+    # Estimate images, a column per member: min and max over rows are cheap.
     mu = None if eigs is None else np.ascontiguousarray(eigs.T) / unit.ravel()
     for step in range(_SIGN_MAX_ITER):
         try:
@@ -293,8 +292,7 @@ def _abscissae(stack: np.ndarray, tol: float) -> list[float]:
         values = np.full(stack.shape[:2], np.nan)
     delta = 0.45 * tol
     checks = values.real.max(axis=1)[:, None] + np.array([delta, -delta])
-    # The estimates of B - s I at both shifts scale the check's solve, so
-    # each needs a nonzero, finite modulus.
+    # The estimates of B - s I at both shifts will scale the check's solve.
     with np.errstate(all="ignore"):
         estimates = values[:, None, :] - checks[:, :, None]
         moduli = np.abs(estimates)

@@ -301,9 +301,10 @@ def test_stacked_abscissae_equal_serial_and_eigvals(stack):
 def test_members_leave_a_two_step_stack_at_different_solves(monkeypatch):
     # The first solve tests two shifts per member. The dense member passes
     # its check there. The other, Q(-I + 10N)Q^T at p=5, has every
-    # eigenvalue at -1, which eigvals reads as about -0.95: the sign function
-    # finds B - (h - 0.45 tol) I stable too, so the member bisects alone and
-    # ends where the serial bisection does.
+    # eigenvalue at -1, which eigvals reads as -0.995: the sign function
+    # finds B - (h + 0.45 tol) I not stable (its bisection ends near
+    # -0.95), so the member bisects alone and ends where the serial
+    # bisection does.
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))[0]
     non_normal = q @ (-np.eye(5) + 10.0 * np.eye(5, k=1)) @ q.T
     dense = np.random.default_rng(5).standard_normal((5, 5)) - 2.0 * np.eye(5)
