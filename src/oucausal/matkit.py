@@ -2,10 +2,10 @@
 
 All operations work on plain float64 numpy arrays and are pure functions.
 It keeps only what numpy lacks: input validation, the scale-aware
-thresholds, `expm` and the Cholesky loop shared by the definiteness tests.
-Solves, ranks, the 1-norm and the Pade quotient of `expm` come from
-numpy.linalg. Every threshold is scale-aware (rank: sigma_max * n *
-2**-52; Cholesky pivots: n * 2**-52 * max|entry|; symmetry: 1e-9 relative),
+thresholds, `expm` and one Cholesky loop with one pivot threshold for every
+definiteness test. Solves, ranks, the 1-norm and the Pade quotient of `expm`
+come from numpy.linalg. Every threshold is scale-aware (rank: sigma_max * n
+* 2**-52; Cholesky pivots: n * 2**-52 * max|entry|; symmetry: 1e-9 relative),
 so singularity and definiteness decisions do not change under rescaling.
 """
 
@@ -134,17 +134,18 @@ def expm(m) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cholesky_pivots(m: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky loop on the symmetric part of M. Returns (L, pivots).
+def cholesky_pivots(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one Cholesky loop, on the symmetric part of M. Returns (L, pivots).
 
     pivots[j] is the Schur-complement pivot of step j. A pivot at or below
-    `limit` is treated as exactly zero: column j of L is left zero and the
-    loop goes on. When every pivot exceeds `limit`, L L^T = (M + M^T) / 2.
-    Past a zeroed pivot of an indefinite M later entries can overflow
-    (silently); callers of such an M read the pivots up to the first failure.
+    `pivot_limit(M)`, the one pivot threshold, leaves column j of L zero and
+    the loop goes on; a NaN pivot leaves it NaN. When every pivot exceeds the
+    limit, L L^T = (M + M^T) / 2. Past a failed pivot later entries can
+    overflow (silently), so verdicts read pivots up to `first_failed_pivot`.
     """
     a = 0.5 * m + 0.5 * m.T  # halving first: entries near the float64 max stay finite
     n = a.shape[0]
+    limit = pivot_limit(m)
     low = np.zeros_like(a)
     pivots = np.empty(n)
     for j in range(n):
@@ -153,9 +154,14 @@ def cholesky_pivots(m: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray
         if piv <= limit:
             continue
         low[j, j] = np.sqrt(piv)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+        low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     return low, pivots
+
+
+def first_failed_pivot(m: np.ndarray, pivots: np.ndarray) -> int | None:
+    """First step whose pivot is not above `pivot_limit(M)` (NaN fails), or None."""
+    failed = np.flatnonzero(~(pivots > pivot_limit(m)))
+    return int(failed[0]) if failed.size else None
 
 
 def cholesky(m) -> np.ndarray:
@@ -172,13 +178,11 @@ def cholesky(m) -> np.ndarray:
             f"asymmetry {np.max(np.abs(a - a.T)):.3e} exceeds 1e-9 relative to "
             f"max entry {np.max(np.abs(a)):.3e}"
         )
-    limit = pivot_limit(a)
-    low, pivots = cholesky_pivots(a, limit)
-    failed = np.flatnonzero(~(pivots > limit))  # a NaN pivot fails too
-    if failed.size:
-        j = int(failed[0])
+    low, pivots = cholesky_pivots(a)
+    j = first_failed_pivot(a, pivots)
+    if j is not None:
         raise NotPositiveDefiniteError(
-            f"pivot {pivots[j]:.3e} at step {j + 1} is below the threshold {limit:.3e}"
+            f"pivot {pivots[j]:.3e} at step {j + 1} is below the threshold {pivot_limit(a):.3e}"
         )
     return low
 

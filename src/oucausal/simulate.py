@@ -238,7 +238,7 @@ def _exact_steps(model: OuModel, t: np.ndarray, n_paths: int, seed: int):
             # Pivots at or below the limit count as zero, so a
             # positive-semidefinite Q (even Q = 0) is factored.
             f, g, q = exact_transition(model, dt)
-            low = matkit.cholesky_pivots(q, matkit.pivot_limit(q))[0]
+            low = matkit.cholesky_pivots(q)[0]
             cache[dt] = (f, g, low)
         f, g, low = cache[dt]
         eta = _step_normals(seed, k, n_paths, model.p)

@@ -62,7 +62,7 @@ from enum import Enum
 import numpy as np
 
 from . import matkit
-from .errors import DimensionError, NotPositiveDefiniteError, TooLargeError
+from .errors import DimensionError, TooLargeError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SUBSET_BUDGET = 2**14
@@ -145,11 +145,7 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray,
     the same floating-point operations, so the same bits, as alone.
     """
     m, n = b.shape[:2]
-    # Dividing B and Q by the power of two 2^(e-1) <= max|B| < 2^e leaves X
-    # unchanged and starts the iteration near unit scale, so tiny or huge B
-    # cannot overflow it (2^e itself overflows when max|B| >= 2^1023).
-    top = np.abs(b).max(axis=(1, 2), keepdims=True, initial=0.0)
-    unit = np.ldexp(0.5, np.frexp(top)[1])
+    unit = _unit(b)  # X is unchanged and the iteration starts near unit scale
     a, x = b / unit, q / unit
     members = list(range(m))  # stack position -> member
     phase = [0] * m  # 0 while scaling, then 1 + the unscaled steps taken
@@ -215,6 +211,17 @@ def solve_lyapunov_stack(b: np.ndarray, q: np.ndarray,
                 results[member] = (True, xm)
     # Members left in the stack hit the cap: eigenvalues on the axis.
     return results
+
+
+def _unit(b: np.ndarray) -> np.ndarray:
+    """The power of two 2^(e-1) <= max|B| < 2^e over B's last two axes, kept
+    as axes of length 1 (1/2 for B = 0). Dividing by it is exact and leaves
+    the largest entry in [1, 2): the sign iteration starts near unit scale,
+    and B D in the certificate search stays finite unless D nears the float64
+    maximum (2^e overflows at max|B| >= 2^1023). Cholesky pivots and their
+    limit scale alike, bit for bit when e - 1 is even."""
+    top = np.abs(b).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    return np.ldexp(0.5, np.frexp(top)[1])
 
 
 def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> tuple[bool, np.ndarray | None]:
@@ -458,33 +465,24 @@ def screen_principal_submatrices(
 
 
 def verify_diagonal_certificate(b, diag) -> bool:
-    """Check that D = diag(diag) is positive and B D + D B^T is negative definite.
-
-    The definiteness test is a Cholesky factorization of -(B D + D B^T) / 2,
-    halved before the sum so that entries near the float64 maximum stay finite.
-    """
+    """Check that D = diag(diag) is positive and B D + D B^T is negative definite,
+    by the certificate search's own test on B divided by `_unit(B)`."""
     a = _square(b)
     d = matkit.as_vector(diag, a.shape[0], "diag")
-    if np.any(d <= 0.0):
-        return False
-    m = a * d[None, :]          # B D for diagonal D
-    try:
-        matkit.cholesky(-(0.5 * m + 0.5 * m.T))
-    except NotPositiveDefiniteError:
-        return False
-    return True
+    return bool(np.all(d > 0.0)) and _certificate_pivots(a / _unit(a), d)[1]
 
 
-def _definiteness_score(a: np.ndarray, d: np.ndarray) -> float:
-    """Smallest Cholesky pivot of -(B D + D B^T) / 2; negative means a violation.
-
-    Used as the search objective: the first failing pivot measures how far
-    the candidate is from yielding a negative-definite B D + D B^T.
+def _certificate_pivots(a: np.ndarray, d: np.ndarray) -> tuple[float, bool]:
+    """Score and verdict of D from one Cholesky pass over -(B D + D B^T) / 2,
+    halved before the sum so that entries near the float64 maximum stay finite.
+    The verdict is that no pivot fails; the score, the search objective, is
+    the first failing pivot, else the smallest: how far D is from certifying.
     """
-    m = a * d[None, :]
-    pivots = matkit.cholesky_pivots(-(0.5 * m + 0.5 * m.T), 0.0)[1]
-    failed = np.flatnonzero(pivots <= 0.0)
-    return float(pivots[failed[0]] if failed.size else np.min(pivots, initial=np.inf))
+    m = a * d[None, :]  # B D for diagonal D
+    s = -(0.5 * m + 0.5 * m.T)
+    pivots = matkit.cholesky_pivots(s)[1]
+    j = matkit.first_failed_pivot(s, pivots)
+    return (float(pivots.min()), True) if j is None else (float(pivots[j]), False)
 
 
 def diagonal_lyapunov_certificate(
@@ -495,10 +493,10 @@ def diagonal_lyapunov_certificate(
     Heuristic: random restarts over log-diagonal entries followed by
     coordinate-wise multiplicative refinement, maximizing the smallest
     Cholesky pivot of -(B D + D B^T); at most `budget` score evaluations.
-    A candidate is returned (as the diagonal vector) only after
-    `verify_diagonal_certificate` passes exactly. Returning None proves
-    nothing: the search is deterministic for a given (seed, budget) but
-    incomplete.
+    A candidate is returned (as the diagonal vector) as soon as the pivot
+    pass that scores it, `verify_diagonal_certificate`'s test, passes; B is
+    divided by `_unit(B)` first. Returning None proves nothing: the search
+    is deterministic for a given (seed, budget) but incomplete.
 
     Why it is kept: a found D certifies every pinning at once. For an
     index set K, B_KK D_K + D_K B_KK^T is the principal submatrix of
@@ -511,32 +509,29 @@ def diagonal_lyapunov_certificate(
     a = _square(b)
     if budget < 1:
         raise DimensionError("budget must be >= 1")
+    a = a / _unit(a)
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     evaluations = 0
     factors = (2.0, 0.5, 1.25, 0.8)
 
     while evaluations < budget:
-        log_d = rng.uniform(-2.0, 2.0, size=n)
-        d = np.exp(log_d)
-        score = _definiteness_score(a, d)
+        d = np.exp(rng.uniform(-2.0, 2.0, size=n))
+        score, certified = _certificate_pivots(a, d)
         evaluations += 1
-        if score > 0.0 and verify_diagonal_certificate(a, d):
+        if certified:
             return d
         improving = True
-        while improving and evaluations < budget:
+        while improving:  # each sweep is cut to the budget left
             improving = False
-            for i in range(n):
-                for f in factors:
-                    if evaluations >= budget:
-                        break
-                    trial = d.copy()
-                    trial[i] *= f
-                    trial_score = _definiteness_score(a, trial)
-                    evaluations += 1
-                    if trial_score > score:
-                        d, score = trial, trial_score
-                        improving = True
-                        if score > 0.0 and verify_diagonal_certificate(a, d):
-                            return d
+            sweep = itertools.product(range(n), factors)
+            for i, f in itertools.islice(sweep, budget - evaluations):
+                trial = d.copy()
+                trial[i] *= f
+                trial_score, certified = _certificate_pivots(a, trial)
+                evaluations += 1
+                if trial_score > score:
+                    d, score, improving = trial, trial_score, True
+                    if certified:
+                        return d
     return None

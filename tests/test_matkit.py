@@ -164,7 +164,7 @@ def test_cholesky_rejects_indefinite_matrix_near_float64_max():
 
 
 def test_cholesky_nan_pivot_fails(monkeypatch):
-    def nan_second_pivot(m, limit):
+    def nan_second_pivot(m):
         return np.eye(2), np.array([1.0, np.nan])
 
     monkeypatch.setattr(matkit, "cholesky_pivots", nan_second_pivot)
@@ -182,8 +182,7 @@ def test_cholesky_pivots_halving_first_matches_halving_the_sum():
         low[np.arange(n), np.arange(n)] = rng.uniform(0.5, 2.0, n)
         m = (low @ low.T + 1e-3 * rng.standard_normal((n, n))) * 10.0 ** rng.uniform(-150, 150)
         assert np.array_equal(0.5 * m + 0.5 * m.T, 0.5 * (m + m.T))
-        limit = matkit.pivot_limit(m)
-        got, reference = matkit.cholesky_pivots(m, limit), _halved_sum_pivots(m, limit)
+        got, reference = matkit.cholesky_pivots(m), _halved_sum_pivots(m, matkit.pivot_limit(m))
         assert all(np.array_equal(g, r) for g, r in zip(got, reference))
 
 

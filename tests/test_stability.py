@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oucausal import (
     Classification,
@@ -238,6 +241,72 @@ def test_rotating_matrix_has_no_diagonal_certificate():
     # must exhaust its budget without a verified candidate.
     assert diagonal_lyapunov_certificate(ROTATING, budget=10_000, seed=0) is None
     assert not verify_diagonal_certificate(ROTATING, np.ones(2))
+
+
+@pytest.mark.parametrize("b", [-1e308 * np.eye(3), np.array([[-1e308, 1e308], [0.0, -1e308]])],
+                         ids=["diagonal", "triangular"])
+def test_search_near_float64_max_finds_a_certificate(b):
+    # The candidates reach D ~ e^2, so B D overflows unless B is first
+    # divided by its power of two.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = diagonal_lyapunov_certificate(b, budget=200, seed=1)
+        assert d is not None and verify_diagonal_certificate(b, d)
+
+
+def test_verify_certificate_with_large_d_near_float64_max():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_diagonal_certificate(-1e308 * np.eye(2), [4.0, 4.0])
+
+
+def test_search_runs_one_cholesky_loop_per_evaluation(monkeypatch):
+    # -I certifies at its first candidate; that candidate's scoring pass is
+    # also its verdict, so no second factorization runs.
+    loops = []
+    pivots = matkit.cholesky_pivots
+    monkeypatch.setattr(matkit, "cholesky_pivots", lambda m: loops.append(m) or pivots(m))
+    assert diagonal_lyapunov_certificate(-np.eye(3), budget=100, seed=0) is not None
+    assert len(loops) == 1
+    # Without a certificate the search spends its whole budget, one loop each.
+    loops.clear()
+    assert diagonal_lyapunov_certificate(ROTATING, budget=2000, seed=0) is None
+    assert len(loops) == 2000
+
+
+_B1 = np.array([[-0.21, -0.17, 1.21], [0.09, -2.06, 0.41], [-1.06, -0.07, -0.15]])
+_B2 = np.array([[-0.97, 1.88, 1.67, -1.1], [-1.19, -1.9, 0.01, -1.89],
+                [0.5, 1.53, -2.53, -0.83], [0.99, 1.11, 1.2, -1.84]])
+_B3 = np.array([[-2.15, -0.42, -1.95, 1.33], [1.09, -2.63, 0.61, 1.9],
+                [-0.21, 1.38, -1.59, -1.72], [-1.91, -0.63, -1.74, -2.27]])
+
+
+@pytest.mark.parametrize("b, seed, expected", [
+    (_B1 * 1e5, 1, [0.41936893511937656, 2.4243514696577217, 0.48180569502521614]),
+    (_B2, 4, [0.9602320535662137, 0.4881184321187966, 1.338184836543589, 0.5440350767614806]),
+    (_B3 * 1e-3, 1, [0.5783694202222279, 0.3393595090802571, 0.3053859057799673,
+                     0.38645237559144896]),
+], ids=["after-refinement", "p4", "after-restarts"])
+def test_search_returns_pinned_certificates(b, seed, expected):
+    # These D were computed on the unscaled B. Dividing by a power of two
+    # with an odd exponent (max|B| in [2^e, 2^(e+1)), e = 17, 1 and -9) rounds
+    # the pivots differently, and must still return the same D.
+    assert diagonal_lyapunov_certificate(b, budget=400, seed=seed).tolist() == expected
+
+
+_entries = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 4).flatmap(lambda p: arrays(float, (p, p), elements=_entries)),
+       k=st.integers(-1000, 1020), seed=st.integers(0, 4))
+def test_certificates_do_not_depend_on_power_of_two_scale(b, k, seed):
+    scaled = np.ldexp(b, k)
+    d = diagonal_lyapunov_certificate(b, budget=60, seed=seed)
+    d_scaled = diagonal_lyapunov_certificate(scaled, budget=60, seed=seed)
+    assert (d is None and d_scaled is None) or np.array_equal(d, d_scaled)
+    for diag in [np.ones(len(b)), np.arange(1.0, len(b) + 1.0)] + ([] if d is None else [d]):
+        assert verify_diagonal_certificate(b, diag) == verify_diagonal_certificate(scaled, diag)
 
 
 def test_found_certificates_imply_stability():
