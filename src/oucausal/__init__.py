@@ -23,7 +23,6 @@ from .models import (
 from .simulate import (
     PathBundle,
     PathStats,
-    RngStream,
     TimeGrid,
     coupled_intervention_diff,
     exact_transition,
@@ -64,7 +63,6 @@ __all__ = [
     "OuModel",
     "PathBundle",
     "PathStats",
-    "RngStream",
     "StabilityReport",
     "StationarityVerdict",
     "SubmatrixScreen",

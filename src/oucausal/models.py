@@ -289,13 +289,12 @@ class GeneralSde:
                  coefficients, row i of the input giving slice i.
 
     Give one or both. A `coef` alone is wrapped into a `batch_coef` that
-    calls it once per row; a `batch_coef` alone yields `coef` as its stack
-    of one. The Euler simulator calls `batch_coef` once per step on all
-    paths through `coefs_at`, the one place a stack is checked: its shape
-    (DimensionError, also for ragged or non-numeric rows) and finiteness
-    (NonFiniteError). The coefficient must be total on R^p and Lipschitz;
-    neither is checked. The callables are invoked from the thread that owns
-    the object.
+    calls it once per row. The Euler simulator calls `batch_coef` once per
+    step on all paths through `coefs_at`, the one place a coefficient is
+    evaluated and checked: its shape (DimensionError, also for ragged or
+    non-numeric rows) and finiteness (NonFiniteError). The coefficient must
+    be total on R^p and Lipschitz; neither is checked. The callables are
+    invoked from the thread that owns the object.
     """
 
     p: int
@@ -313,8 +312,6 @@ class GeneralSde:
             raise DimensionError("coef must be callable")
         if batch is None:
             object.__setattr__(self, "batch_coef", lambda x: [coef(row) for row in x])
-        elif coef is None:
-            object.__setattr__(self, "coef", lambda x: batch(np.asarray(x, dtype=float)[None])[0])
 
     def coefs_at(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the coefficient at the n rows of x and validate the
@@ -331,10 +328,6 @@ class GeneralSde:
         if not np.isfinite(a).all():
             raise NonFiniteError("coef(x): contains non-finite entries")
         return a
-
-    def coef_at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the coefficient at one state and validate its shape."""
-        return self.coefs_at(np.asarray(x, dtype=float)[None])[0]
 
 
 def ou_as_general(model: OuModel) -> GeneralSde:

@@ -1,14 +1,11 @@
 """Path generation: exact Gaussian transitions for OU models, Euler stepping
 for OU and general SDEs, and coupled original-vs-pinned simulation.
 
-Randomness comes from one numpy generator per time step: step k draws
-from PCG64 seeded by the SeedSequence of (master seed, k), and its
-standard normals come from numpy's ziggurat sampler. Every scheme fills
-an (n_paths, count) block from that generator in one call, row i for
-path i, so a path's draws are a pure function of (seed, step, path) and
-do not depend on how many paths run beside it. `RngStream(seed, k)` is
-the same generator. Results are reproducible within a build and numpy
-version; bit-exact reproduction across platforms is not promised.
+Randomness comes from one numpy generator per time step, built in one
+place, `_step_normals`: every scheme takes the (n_paths, count) normals
+of step k from it, row i for path i. Results are reproducible within a
+build and numpy version; bit-exact reproduction across platforms is not
+promised.
 
 Each scheme (exact OU, Euler OU, Euler for a general SDE, and the coupled
 pair) is written once, as a generator that yields the state at each grid
@@ -49,43 +46,16 @@ _MASK64 = 2**64 - 1
 _STATS_PATHS = "path statistics require n_paths >= 2"
 
 
-def _generator(seed: int, stream: int):
-    """The numpy generator of stream (seed, stream): PCG64 keyed by both."""
+def _step_normals(seed: int, k: int, n_paths: int, count: int) -> np.ndarray:
+    """(n_paths, count) standard normals of step k, from PCG64 seeded by the
+    SeedSequence of (seed, k) through numpy's ziggurat sampler. Row i is path
+    i's draws, so a path's draws are a pure function of (seed, k, i) and do
+    not depend on how many paths run beside it."""
     # Reached by attribute access, so commands that never simulate never
     # import numpy.random (about 13 ms and 6 MB).
     random = np.random
-    key = random.SeedSequence([int(seed) & _MASK64, int(stream) & _MASK64])
-    return random.Generator(random.PCG64(key))
-
-
-def _step_normals(seed: int, k: int, n_paths: int, count: int) -> np.ndarray:
-    """(n_paths, count) standard normals of step k: row i is path i's draws,
-    so a path's draws do not depend on how many paths run beside it."""
-    return _generator(seed, k).standard_normal((n_paths, count))
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """One reproducible normal stream, identified by (seed, stream).
-
-    Stream k is the generator that step k of every simulator draws from:
-    `RngStream(seed, k).normals(count, start=i * count)` is path i's noise
-    at step k. Streams with distinct ids are statistically independent; the
-    same (seed, stream) reproduces the identical sequence within one build.
-    """
-
-    seed: int
-    stream: int
-
-    def normals(self, count: int, start: int = 0) -> np.ndarray:
-        """Standard normals number start..start+count-1 of this stream.
-
-        The stream is drawn from its beginning, so this costs
-        O(start + count).
-        """
-        if count < 0 or start < 0:
-            raise DimensionError("count and start must be nonnegative")
-        return _generator(self.seed, self.stream).standard_normal(start + count)[start:]
+    key = random.SeedSequence([int(seed) & _MASK64, int(k) & _MASK64])
+    return random.Generator(random.PCG64(key)).standard_normal((n_paths, count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +325,9 @@ def simulate_paths(model: OuModel | GeneralSde, grid: TimeGrid, n_paths: int,
     X_{k+1} = X_k + B (X_k - A) dt_k + sigma dW_k; for a GeneralSde it
     applies X_{k+1} = X_k + a(X_k) dZ_k with dZ_k = (dt_k, dW_k).
 
-    Step k draws from stream (seed, k) and path i takes row i of that
-    step's draws, so a path's draws do not depend on how many paths run
-    beside it.
+    Step k draws from `_step_normals(seed, k, ...)` and path i takes row i
+    of that step's draws, so a path's draws do not depend on how many paths
+    run beside it.
     """
     values = run(model, grid, n_paths, seed, method)
     labels = model.labels if isinstance(model, OuModel) else default_labels(model.p)

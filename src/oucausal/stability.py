@@ -261,12 +261,29 @@ def _square(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     return a
 
 
+def _invertible(b: np.ndarray) -> bool:
+    """False when B is within p u |B|_1 of a singular matrix: kappa_1(B) p u >= 1.
+
+    By the Gastinel-Kahan theorem 1 / kappa(B) is B's relative distance to
+    the nearest singular matrix, which is not stable, so at that distance no
+    Stable verdict can be certified. An exactly singular B has kappa = inf.
+    It guards the unshifted verdicts (`is_stable`, `stationary._decide`)
+    only: near a defective eigenvalue B - s I is singular within rounding
+    for |s - lambda| up to about sqrt(u), which would derail bisection.
+    """
+    return bool(np.linalg.cond(b, 1) < 1.0 / (b.shape[0] * matkit._EPS))
+
+
 def is_stable(b) -> tuple[bool, np.ndarray | None]:
     """Decide stability of B; on success also return the Lyapunov certificate.
 
-    The certificate X solves B X + X B^T = -I (see `solve_lyapunov`).
+    The certificate X solves B X + X B^T = -I (see `solve_lyapunov`). A B
+    that is singular within rounding (see `_invertible`) reads not stable:
+    an eigenvalue within rounding of 0 can swamp the sign iteration.
     """
     a = _square(b)
+    if not _invertible(a):
+        return False, None
     return solve_lyapunov(a, np.eye(a.shape[0]))
 
 
@@ -466,10 +483,19 @@ def screen_principal_submatrices(
 
 def verify_diagonal_certificate(b, diag) -> bool:
     """Check that D = diag(diag) is positive and B D + D B^T is negative definite,
-    by the certificate search's own test on B divided by `_unit(B)`."""
+    by the certificate search's own test on B divided by `_unit(B)`.
+
+    D is first divided by a power of four near its largest entry, so that
+    B D stays finite for D near the float64 maximum. That scales every
+    entry, pivot and the pivot limit by an exact square, so the verdict is
+    bit for bit that of the unscaled D wherever that does not overflow.
+    """
     a = _square(b)
     d = matkit.as_vector(diag, a.shape[0], "diag")
-    return bool(np.all(d > 0.0)) and _certificate_pivots(a / _unit(a), d)[1]
+    if not np.all(d > 0.0):
+        return False
+    d = np.ldexp(d, -2 * (int(np.frexp(d.max())[1]) // 2))
+    return _certificate_pivots(a / _unit(a), d)[1]
 
 
 def _certificate_pivots(a: np.ndarray, d: np.ndarray) -> tuple[float, bool]:

@@ -7,7 +7,8 @@ with mean A and covariance G solving sigma sigma^T + B G + G B^T = 0.
 One decision, `_decide`, serves every caller: the rank of sigma, then one
 stacked sign-function solve (`stability.solve_lyapunov_stack`) over (B, B)
 with Q in {I, sigma sigma^T}. The B iterates do not depend on Q, so the
-Q = I member decides stability and the other yields G. `stationary_exists`
+Q = I member decides stability, refused as in `stability.is_stable` for a
+B singular within rounding, and the other yields G. `stationary_exists`
 adds the controllability rank and `stationary_distribution` reads the law.
 G loses accuracy as the spectral abscissa of B approaches 0; the test
 suite checks it against G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds.
@@ -118,6 +119,7 @@ def _decide(model: OuModel) -> tuple[Verdict, bool, GaussianLaw | None, OuCausal
     (stable, _), (solved, g) = stability.solve_lyapunov_stack(
         np.stack([model.B, model.B]),
         np.stack([np.eye(model.p), model.sigma @ model.sigma.T]))
+    stable = stable and stability._invertible(model.B)  # as in `is_stable`
     verdict = (Verdict.INDETERMINATE_COLUMN_SPAN if not full_span
                else Verdict.EXISTS if stable else Verdict.NOT_EXISTS)
     if verdict is not Verdict.EXISTS:

@@ -23,6 +23,7 @@ from oucausal.simulate import (
     simulate_paths,
     uniform_grid,
 )
+from util import SWAMPED
 
 DEMO = {
     "p": 3,
@@ -191,6 +192,17 @@ def test_stationary_nonexistent_fails(tmp_path):
     out = run_cli("stationary", write_model(tmp_path, doc))
     assert out.returncode == 1
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("b", SWAMPED.values(), ids=SWAMPED.keys())
+def test_numerically_singular_unstable_b_has_no_stationary_law(tmp_path, capsys, b):
+    path = write_model(tmp_path, dict(DEMO, B=b.tolist()))
+    assert cli.main(["stationary", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no stationary distribution" in captured.err
+    assert cli.main(["describe", path]) == 0
+    assert json.loads(capsys.readouterr().out)["stationarity"] == "NotExists"
 
 
 def test_stationary_with_entries_near_float64_max(tmp_path):

@@ -373,7 +373,7 @@ def test_general_constant_coefficient():
     sde = GeneralSde(p=3, d=2, x0=np.zeros(3), coef=lambda x: sigma)
     red = intervene_general(sde, Intervention(2, 4.0))
     assert red.p == 2 and red.d == 2
-    assert np.array_equal(red.coef_at(np.zeros(2)), sigma[[0, 2], :])
+    assert np.array_equal(red.coefs_at(np.zeros((1, 2)))[0], sigma[[0, 2], :])
 
 
 def test_general_coefficient_ignoring_pinned_coordinate():
@@ -386,7 +386,7 @@ def test_general_coefficient_ignoring_pinned_coordinate():
     for _ in range(20):
         y = rng.uniform(-3, 3, 2)
         x = np.insert(y, 1, 0.0)   # value at position 2 is irrelevant
-        assert np.array_equal(red.coef_at(y), coef(x)[[0, 2], :])
+        assert np.array_equal(red.coefs_at(y[None])[0], coef(x)[[0, 2], :])
 
 
 def test_general_matches_ou_reduction():
@@ -399,7 +399,7 @@ def test_general_matches_ou_reduction():
     lift_general = ou_as_general(red_ou)
     for _ in range(100):
         y = rng.uniform(-4, 4, 3)
-        diff = red_general.coef_at(y) - lift_general.coef_at(y)
+        diff = red_general.coefs_at(y[None])[0] - lift_general.coefs_at(y[None])[0]
         assert np.max(np.abs(diff)) <= 1e-12
 
 
@@ -436,7 +436,7 @@ def test_general_bad_coefficient_is_a_checked_error(form, name, levels):
     with pytest.raises(error, match=re.escape("coef(x)")):
         sde.coefs_at(np.zeros((2, sde.p)))
     with pytest.raises(error, match=re.escape("coef(x)")):
-        sde.coef_at(np.zeros(sde.p))
+        sde.coefs_at(np.zeros((1, sde.p)))[0]
 
 
 def test_ou_as_general_layout():
@@ -444,6 +444,6 @@ def test_ou_as_general_layout():
     sde = ou_as_general(m)
     assert sde.p == 3 and sde.d == 4
     x = np.array([0.5, -1.0, 2.0])
-    a = sde.coef_at(x)
+    a = sde.coefs_at(x[None])[0]
     assert np.allclose(a[:, 0], m.drift(x))
     assert np.array_equal(a[:, 1:], m.sigma)

@@ -10,7 +10,6 @@ from oucausal import (
     GeneralSde,
     Intervention,
     OuModel,
-    RngStream,
     TimeGrid,
     coupled_intervention_diff,
     exact_transition,
@@ -31,7 +30,7 @@ from oucausal.errors import (
     NonPositiveStepError,
     SimulationOverflowError,
 )
-from util import demo_triangular, gershgorin_stable
+from util import demo_triangular, gershgorin_stable, step_draws
 
 
 def _simpson_covariance(model, t_end, n):
@@ -61,20 +60,18 @@ def test_grid_validation():
         uniform_grid(1.0, 0)
 
 
-def test_rng_stream_reproducible_and_sliceable():
-    a = RngStream(42, 3).normals(10)
-    b = RngStream(42, 3).normals(10)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a[4:], RngStream(42, 3).normals(6, start=4))
-    assert not np.array_equal(a, RngStream(42, 4).normals(10))
-    assert not np.array_equal(a, RngStream(43, 3).normals(10))
+def test_step_normals_reproducible_and_keyed_by_seed_and_step():
+    a = simulate._step_normals(42, 3, 2, 5)
+    assert np.array_equal(a, simulate._step_normals(42, 3, 2, 5))
+    assert not np.array_equal(a, simulate._step_normals(42, 4, 2, 5))
+    assert not np.array_equal(a, simulate._step_normals(43, 3, 2, 5))
 
 
-def test_rng_stream_moments_and_independence():
-    x = RngStream(7, 0).normals(200_000)
+def test_step_normals_moments_and_independence():
+    x = simulate._step_normals(7, 0, 1, 200_000)[0]
     assert abs(x.mean()) < 0.01
     assert abs(x.var() - 1.0) < 0.02
-    y = RngStream(7, 1).normals(200_000)
+    y = simulate._step_normals(7, 1, 1, 200_000)[0]
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
 
 
@@ -122,8 +119,7 @@ def test_rng_stream_is_the_step_noise_of_each_path(scheme, monkeypatch):
     for seed, k, z in draws:
         count = z.shape[1]
         assert count == (3 if scheme == "exact" else 5)
-        for i in range(4):
-            assert np.array_equal(z[i], RngStream(seed, k).normals(count, start=i * count))
+        assert np.array_equal(z, step_draws(seed, k, 4, count))
 
 
 def test_euler_first_step_is_rng_stream_zero():
@@ -132,8 +128,7 @@ def test_euler_first_step_is_rng_stream_zero():
     m = OuModel(p=2, d=2, x0=[0.0, 0.0], A=[0.0, 0.0], B=np.zeros((2, 2)),
                 sigma=np.eye(2))
     values = simulate_paths(m, uniform_grid(1.0, 1), 3, seed=5, method="euler").values
-    for i in range(3):
-        assert np.array_equal(values[i, 1], RngStream(5, 0).normals(2, start=2 * i))
+    assert np.array_equal(values[:, 1], step_draws(5, 0, 3, 2))
 
 
 def test_step_normals_are_standard_normal_and_uncorrelated():
@@ -480,7 +475,7 @@ def test_general_euler_wrong_shape_coefficient():
     with pytest.raises(DimensionError, match=re.escape("coef(x)")):
         simulate_paths(wrong, uniform_grid(1.0, 4), 3, seed=0, method="euler")
     with pytest.raises(DimensionError, match=re.escape("coef(x)")):
-        wrong.coef_at([0.0, 0.0])
+        wrong.coefs_at(np.zeros((1, 2)))[0]
     with pytest.raises(DimensionError):
         GeneralSde(p=2, d=2, x0=[0.0, 0.0])
 

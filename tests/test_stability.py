@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +9,19 @@ from hypothesis.extra.numpy import arrays
 
 from oucausal import (
     Classification,
+    OuModel,
+    Verdict,
     classify,
     diagonal_lyapunov_certificate,
     is_stable,
     screen_principal_submatrices,
     spectral_abscissa,
+    stationary_exists,
     verify_diagonal_certificate,
 )
 from oucausal import controllability_rank, matkit
 from oucausal.errors import DimensionError, TooLargeError
-from util import gershgorin_stable, principal_submatrix
+from util import SWAMPED, gershgorin_stable, principal_submatrix
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])  # eigenvalues -1 +- i sqrt(3)
 
@@ -39,6 +43,78 @@ def test_one_by_one_positive_not_stable():
 
 def test_negated_rotating_not_stable():
     assert not is_stable(-ROTATING)[0]
+
+
+# ------------------------------------------------- numerically singular B
+
+@pytest.mark.parametrize("b", SWAMPED.values(), ids=SWAMPED.keys())
+def test_numerically_singular_unstable_b_is_not_stable(b):
+    assert classify(b).classification is Classification.UNSTABLE
+    ok, cert = is_stable(b)
+    assert not ok and cert is None
+    verdict = stationary_exists(OuModel(p=3, d=3, x0=np.zeros(3), A=np.zeros(3), B=b,
+                                        sigma=np.eye(3)))
+    assert verdict.verdict is Verdict.NOT_EXISTS
+    assert not verdict.b_stable and verdict.law is None
+
+
+@pytest.mark.parametrize("b", [np.diag([-1.0, -1e-14]), -1e-200 * np.eye(3),
+                               -np.eye(10) + 10.0 * np.eye(10, k=1),
+                               -np.eye(7) + 30.0 * np.eye(7, k=1)],
+                         ids=["tiny-eigenvalue", "tiny-scale", "bidiagonal-10", "bidiagonal-30"])
+def test_well_separated_from_singular_stays_stable(b):
+    assert is_stable(b)[0]
+
+
+@pytest.mark.parametrize("delta, stable", [(1e-7, True), (2e-8, False), (1e-8, False)])
+def test_defective_b_near_the_axis_reads_not_stable(delta, stable):
+    # [[-delta, 1], [0, -delta]] is within delta^2 of a singular matrix, so
+    # for delta below about sqrt(2 u) `is_stable` refuses to certify it, while
+    # `classify`, which reads the abscissa, still finds it Stable.
+    b = np.array([[-delta, 1.0], [0.0, -delta]])
+    assert is_stable(b)[0] is stable
+    assert classify(b).classification is Classification.STABLE
+
+
+@st.composite
+def _near_singular(draw):
+    """An exactly singular p x p matrix, 2 <= p <= 5, with one entry moved by
+    +-10^U(-300, -20): a zero column, a zero row, or a row that is an exact
+    multiple of another. The diagonal is first shifted left by U(0, 3), so
+    that about 40% of them are stable apart from the zero eigenvalue."""
+    p = draw(st.integers(2, 5))
+    b = draw(arrays(np.float64, (p, p), elements=st.floats(-2.0, 2.0)))
+    b -= draw(st.floats(0.0, 3.0)) * np.eye(p)
+    k = draw(st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["column", "row", "multiple"]))
+    if kind == "column":
+        b[:, k] = 0.0
+    elif kind == "row":
+        b[k] = 0.0
+    else:
+        other = draw(st.integers(0, p - 1).filter(lambda i: i != k))
+        b[k] = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])) * b[other]
+    i, j = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    b[i, j] += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, -20.0))
+    return b
+
+
+def _max_real_eigenvalue_mpmath(b: np.ndarray, digits: int = 400) -> float:
+    """Max real part of B's eigenvalues at `digits` digits, with the
+    iteration's own rounding (10^(20 - digits) |B|) counted as 0."""
+    with mpmath.workdps(digits):
+        values = mpmath.eig(mpmath.matrix(b.tolist()), left=False, right=False)
+        top = max(mpmath.re(v) for v in values)
+        noise = mpmath.mpf(10) ** (20 - digits) * mpmath.mnorm(mpmath.matrix(b.tolist()), 1)
+        return 0.0 if abs(top) <= noise else float(top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=_near_singular())
+def test_near_singular_b_never_reads_stable_when_unstable(b):
+    # Only a Stable verdict can be wrong here, so mpmath runs on those alone.
+    if is_stable(b)[0]:
+        assert _max_real_eigenvalue_mpmath(b) < 0.0
 
 
 def test_minus_identity_certificate():
@@ -258,6 +334,9 @@ def test_verify_certificate_with_large_d_near_float64_max():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert verify_diagonal_certificate(-1e308 * np.eye(2), [4.0, 4.0])
+        # B D overflows unless D is first divided by its power of four.
+        assert verify_diagonal_certificate([[-1.9, 1.9], [0.0, -1.9]], [1e308, 1e308])
+        assert not verify_diagonal_certificate([[1.9, 1.9], [0.0, -1.9]], [1e308, 1e308])
 
 
 def test_search_runs_one_cholesky_loop_per_evaluation(monkeypatch):
@@ -299,14 +378,17 @@ _entries = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
 
 @settings(max_examples=40, deadline=None)
 @given(b=st.integers(1, 4).flatmap(lambda p: arrays(float, (p, p), elements=_entries)),
-       k=st.integers(-1000, 1020), seed=st.integers(0, 4))
-def test_certificates_do_not_depend_on_power_of_two_scale(b, k, seed):
+       k=st.integers(-1000, 1020), seed=st.integers(0, 4), j=st.integers(-500, 511))
+def test_certificates_do_not_depend_on_power_of_two_scale(b, k, seed, j):
     scaled = np.ldexp(b, k)
     d = diagonal_lyapunov_certificate(b, budget=60, seed=seed)
     d_scaled = diagonal_lyapunov_certificate(scaled, budget=60, seed=seed)
     assert (d is None and d_scaled is None) or np.array_equal(d, d_scaled)
     for diag in [np.ones(len(b)), np.arange(1.0, len(b) + 1.0)] + ([] if d is None else [d]):
         assert verify_diagonal_certificate(b, diag) == verify_diagonal_certificate(scaled, diag)
+        # D 4^j, with j capped so that D stays below 2^1023.
+        quad = np.ldexp(diag, 2 * min(j, (1023 - int(np.frexp(diag.max())[1])) // 2))
+        assert verify_diagonal_certificate(b, quad) == verify_diagonal_certificate(b, diag)
 
 
 def test_found_certificates_imply_stability():

@@ -12,6 +12,18 @@ class EmptyResultError(OuCausalError):
     """`principal_submatrix` would produce an empty (0 x 0) matrix."""
 
 
+_TINY = float.fromhex("0x1.b1c9c78a34513p-134")
+# Unstable matrices with an eigenvalue within rounding of 0, on which the
+# sign iteration alone read Stable: eigenvalues 0.0156 +- 0.353i and
+# -1.6e-40; and 0.5 +- 1.32i and -4.7e-153 (mpmath, 400 digits).
+SWAMPED = {
+    "tiny-entries": np.array([[2.0**-5, 1.5, 1.0], [1.25, -_TINY, -_TINY],
+                              [-2.0, -_TINY, 0.0]]),
+    "near-equal-rows": np.array([[0.0, 1.0, 9.48e-153], [-1.0, 1.0, -1.0],
+                                 [0.0, 1.0, 0.0]]),
+}
+
+
 def demo_triangular(A=(1.0, 2.0, 3.0), diag=(-1.0, -2.0, -1.5),
                     upper=(0.5, 0.3, 0.7), x0=(0.0, 0.0, 0.0)) -> OuModel:
     """3-dimensional model with upper-triangular B, negative diagonal, sigma = I."""
@@ -65,6 +77,13 @@ def random_triangular(rng: np.random.Generator, coincident: bool = False) -> np.
     b[np.triu_indices(3, 1)] = rng.uniform(-2.0, 2.0, 3)
     b[np.arange(3), np.arange(3)] = diag
     return b
+
+
+def step_draws(seed: int, k: int, n_paths: int, count: int) -> np.ndarray:
+    """The documented step-k noise, straight from numpy: PCG64 keyed by the
+    SeedSequence of (seed, k) mod 2^64, (n_paths, count) standard normals."""
+    key = np.random.SeedSequence([seed % 2**64, k % 2**64])
+    return np.random.Generator(np.random.PCG64(key)).standard_normal((n_paths, count))
 
 
 def gamma_by_quadrature(model: OuModel, t_end: float | None = None,
