@@ -270,8 +270,10 @@ def _invertible(b: np.ndarray) -> bool:
     It guards the unshifted verdicts (`is_stable`, `stationary._decide`)
     only: near a defective eigenvalue B - s I is singular within rounding
     for |s - lambda| up to about sqrt(u), which would derail bisection.
+    kappa is taken of B / `_unit(B)`: the division is exact, and |B|_1 or
+    inv(B) would overflow for B near the float64 maximum or subnormal.
     """
-    return bool(np.linalg.cond(b, 1) < 1.0 / (b.shape[0] * matkit._EPS))
+    return bool(np.linalg.cond(b / _unit(b), 1) < 1.0 / (b.shape[0] * matkit._EPS))
 
 
 def is_stable(b) -> tuple[bool, np.ndarray | None]:

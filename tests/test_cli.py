@@ -217,6 +217,16 @@ def test_stationary_with_entries_near_float64_max(tmp_path):
     assert np.max(np.abs(cov - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
+def test_stationary_exists_with_column_sums_beyond_float64_max(tmp_path, capsys):
+    # |B|_1 = 2e308 overflows, yet B is stable (eigenvalues -1e308): the
+    # singular-B guard must take kappa of B divided by its power of two.
+    b = [[-1e308, 0.0], [1e308, -1e308]]
+    path = write_model(tmp_path, dict(ROTATING, B=b))
+    assert cli.main(["describe", path]) == 0
+    assert json.loads(capsys.readouterr().out)["stationarity"] == "Exists"
+    assert cli.main(["stationary", path]) == 0
+
+
 def test_describe_with_entries_near_float64_max(tmp_path, capsys):
     # The bisection midpoint of the Gershgorin bracket [-1.5e308, -5e307]
     # must not overflow: 0.5 * (lo + hi) read -inf and made B - mid I NaN.

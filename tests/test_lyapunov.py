@@ -177,12 +177,19 @@ _matrices = st.integers(1, 6).flatmap(
 
 
 @settings(max_examples=150, deadline=None)
-@given(b=_matrices, k=st.floats(-6.0, 6.0))
-def test_verdict_invariant_under_scaling(b, k):
+@given(b=_matrices, k=st.floats(-6.0, 6.0), j=st.sampled_from([-960, 1022]))
+def test_verdict_invariant_under_scaling(b, k, j):
     assume(_decidable(b))
     truth = float(np.max(np.linalg.eigvals(b / np.max(np.abs(b))).real)) < 0
     assert is_stable(b)[0] == truth
     assert is_stable(10.0**k * b)[0] == truth
+    # 2^j B near the float64 extremes, where |B|_1 or inv(B) can overflow
+    # unless B is first divided by its power of two; checked when 2^j B is
+    # exact (no entry rounded to a subnormal). Below j = -960 the
+    # certificate X itself can overflow.
+    scaled = np.ldexp(b, j)
+    if np.array_equal(np.ldexp(scaled, -j), b):
+        assert is_stable(scaled)[0] == truth
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,7 +19,7 @@ from oucausal import (
     stationary_exists,
     verify_diagonal_certificate,
 )
-from oucausal import controllability_rank, matkit
+from oucausal import controllability_rank, matkit, stability
 from oucausal.errors import DimensionError, TooLargeError
 from util import SWAMPED, gershgorin_stable, principal_submatrix
 
@@ -64,6 +64,25 @@ def test_numerically_singular_unstable_b_is_not_stable(b):
                          ids=["tiny-eigenvalue", "tiny-scale", "bidiagonal-10", "bidiagonal-30"])
 def test_well_separated_from_singular_stays_stable(b):
     assert is_stable(b)[0]
+
+
+@pytest.mark.parametrize("exponent", [1023, 0, -1060])
+def test_singular_b_guard_is_scale_free(exponent):
+    # At the float64 extremes |B|_1 or inv(B) overflows, so the guard must
+    # take kappa of B divided by its power of two, as the solver does.
+    b = np.ldexp(np.array([[-1.0, 0.0], [1.0, -1.0]]), exponent)
+    assert stability._invertible(b)
+    assert not stability._invertible(np.ldexp(np.array([[1.0, 1.0], [1.0, 1.0]]), exponent))
+
+
+def test_stable_b_with_column_sums_beyond_float64_max():
+    # |B|_1 = 2e308 overflows; both eigenvalues are -1e308.
+    b = np.array([[-1e308, 0.0], [1e308, -1e308]])
+    assert stability._invertible(b)
+    assert is_stable(b)[0]
+    verdict = stationary_exists(OuModel(p=2, d=2, x0=np.zeros(2), A=np.zeros(2), B=b,
+                                        sigma=np.eye(2)))
+    assert verdict.verdict is Verdict.EXISTS and verdict.b_stable
 
 
 @pytest.mark.parametrize("delta, stable", [(1e-7, True), (2e-8, False), (1e-8, False)])
