@@ -131,20 +131,23 @@ def exact_transition(model: OuModel, t: float) -> tuple[np.ndarray, np.ndarray, 
     Q(h) = E12 E11^T, evaluated at a sub-time h with |h B| of order one and
     composed up to t by the semigroup identity Q(2h) = F(h) Q(h) F(h)^T +
     Q(h). Composing avoids the e^{t |B|} blow-up of the -B^T block that
-    makes the single-shot construction overflow for large t.
+    makes the single-shot construction overflow for large t; t must be finite.
     """
     if not t > 0:
         raise NonPositiveStepError("t must be positive")
+    if not np.isfinite(t):
+        raise NonFiniteError("t must be finite")
     p = model.p
     s = model.sigma @ model.sigma.T
     nrm = np.linalg.norm(model.B, 1)
-    doublings = 0 if t * nrm <= 1.0 else int(np.ceil(np.log2(t * nrm)))
-    h = t / 2.0**doublings
+    # ceil(log2(t |B|_1)) from the mantissas and exponents, as t |B|_1 can overflow.
+    (mt, et), (mn, en) = np.frexp(t), np.frexp(nrm)
+    doublings = 0 if nrm == 0 else max(0, int(np.ceil(np.log2(mt * mn))) + et + en)
     block = np.zeros((2 * p, 2 * p))
     block[:p, :p] = model.B
     block[:p, p:] = s
     block[p:, p:] = -model.B.T
-    e = matkit.expm(h * block)
+    e = matkit.expm(np.ldexp(t, -doublings) * block)  # h = t / 2^doublings
     f = e[:p, :p]
     q = e[:p, p:] @ f.T
     q = 0.5 * (q + q.T)
@@ -360,7 +363,13 @@ def _sample_stats(x: np.ndarray) -> PathStats:
         raise DimensionError(_STATS_PATHS)
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / (n_paths - 1)
+    # Columns divided by powers of two overflow only if the covariance does.
+    e = np.frexp(np.abs(centered).max(axis=0))[1]
+    np.ldexp(centered, -e, out=centered)
+    with np.errstate(over="ignore"):
+        cov = np.ldexp(centered.T @ centered / (n_paths - 1), e[:, None] + e[None, :])
+    if not np.isfinite(cov).all():
+        raise NonFiniteError("the sample covariance overflows float64")
     se = np.sqrt(np.diag(cov) / n_paths)
     return PathStats(mean, cov, se)
 

@@ -225,8 +225,9 @@ def _unit(b: np.ndarray) -> np.ndarray:
 
 
 def solve_lyapunov(b: np.ndarray, q: np.ndarray) -> tuple[bool, np.ndarray | None]:
-    """`solve_lyapunov_stack` for one p x p B and Q: (True, X) or (False, None)."""
-    return solve_lyapunov_stack(b[None], q[None])[0]
+    """`solve_lyapunov_stack` for one p x p B and Q: (True, X) or (False, None),
+    the latter without a solve for a B singular within rounding (`_invertible`)."""
+    return solve_lyapunov_stack(b[None], q[None])[0] if _invertible(b) else (False, None)
 
 
 def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
@@ -267,8 +268,8 @@ def _invertible(b: np.ndarray) -> bool:
     By the Gastinel-Kahan theorem 1 / kappa(B) is B's relative distance to
     the nearest singular matrix, which is not stable, so at that distance no
     Stable verdict can be certified. An exactly singular B has kappa = inf.
-    It guards the unshifted verdicts (`is_stable`, `stationary._decide`)
-    only: near a defective eigenvalue B - s I is singular within rounding
+    It guards `solve_lyapunov` only, not the abscissa search's shifted
+    stacks: near a defective eigenvalue B - s I is singular within rounding
     for |s - lambda| up to about sqrt(u), which would derail bisection.
     kappa is taken of B / `_unit(B)`: the division is exact, and |B|_1 or
     inv(B) would overflow for B near the float64 maximum or subnormal.
@@ -280,12 +281,10 @@ def is_stable(b) -> tuple[bool, np.ndarray | None]:
     """Decide stability of B; on success also return the Lyapunov certificate.
 
     The certificate X solves B X + X B^T = -I (see `solve_lyapunov`). A B
-    that is singular within rounding (see `_invertible`) reads not stable:
-    an eigenvalue within rounding of 0 can swamp the sign iteration.
+    singular within rounding (`_invertible`), or whose X is beyond float64,
+    reads not stable: -1e-309 I does, which `stationary_exists` reads stable.
     """
     a = _square(b)
-    if not _invertible(a):
-        return False, None
     return solve_lyapunov(a, np.eye(a.shape[0]))
 
 

@@ -2,24 +2,23 @@
 
 For diffusion matrices whose columns span R^p, a stationary distribution
 exists iff the mean reversion speed B is stable; it is then the normal law
-with mean A and covariance G solving sigma sigma^T + B G + G B^T = 0.
-
-One decision, `_decide`, serves every caller: the rank of sigma, then one
-stacked sign-function solve (`stability.solve_lyapunov_stack`) over (B, B)
-with Q in {I, sigma sigma^T}. The B iterates do not depend on Q, so the
-Q = I member decides stability, refused as in `stability.is_stable` for a
-B singular within rounding, and the other yields G. `stationary_exists`
-adds the controllability rank and `stationary_distribution` reads the law.
-G loses accuracy as the spectral abscissa of B approaches 0; the test
-suite checks it against G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds.
-
-When sigma lacks full column span, existence depends on a more involved
+with mean A and covariance G solving sigma sigma^T + B G + G B^T = 0. When
+sigma lacks full column span, existence depends on a more involved
 criterion that is intentionally not decided here; the verdict is reported
 as indeterminate together with the controllability rank.
+
+`stationary_exists` is the one decision: the rank of sigma, then one
+sign-function solve (`stability.solve_lyapunov`) on B / u and
+Q = (sigma / s)(sigma / s)^T, with u and s powers of two
+(`stability._unit`), so it runs near unit scale. Its limit decides
+stability, and its X gives G = X s^2 / u exactly. G loses accuracy as the
+spectral abscissa of B approaches 0; the test suite checks it against
+G = integral_0^inf e^{sB} sigma sigma^T e^{sB^T} ds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal
@@ -92,9 +91,9 @@ def controllability_rank(b, sigma) -> int:
     """Rank of the p x (pd) block matrix [sigma | B sigma | ... | B^{p-1} sigma].
 
     Each block is divided by its largest absolute entry before it is stacked
-    and multiplied by B again. A positive factor per block keeps the column
-    span, so the rank is unchanged, but a huge B^k sigma can no longer swamp
-    the rank tolerance, which is relative to the largest singular value.
+    and multiplied by B / `stability._unit(B)`. Positive factors keep the
+    column span, so the rank is unchanged, but a huge B^k sigma can neither
+    overflow nor swamp the rank tolerance, relative to the largest singular value.
     """
 
     def unit(block: np.ndarray) -> np.ndarray:
@@ -102,50 +101,42 @@ def controllability_rank(b, sigma) -> int:
         return block / top if top > 0 else block
 
     bm = stability._square(b)
+    bm = bm / stability._unit(bm)
     blocks = [unit(matkit.as_matrix(sigma, bm.shape[0], None, "sigma"))]
     for _ in range(bm.shape[0] - 1):
         blocks.append(unit(bm @ blocks[-1]))
     return matkit.rank(np.hstack(blocks))
 
 
-def _decide(model: OuModel) -> tuple[Verdict, bool, GaussianLaw | None, OuCausalError | None]:
-    """The stationarity decision: (verdict, B stable, law, the error that
-    `stationary_distribution` raises when there is no law).
-
-    With sigma of full column span and B stable, hence invertible, the mean
-    equation B mu = B A reduces to mu = A; G is the symmetrized X.
-    """
-    full_span = matkit.rank(model.sigma) == model.p
-    (stable, _), (solved, g) = stability.solve_lyapunov_stack(
-        np.stack([model.B, model.B]),
-        np.stack([np.eye(model.p), model.sigma @ model.sigma.T]))
-    stable = stable and stability._invertible(model.B)  # as in `is_stable`
-    verdict = (Verdict.INDETERMINATE_COLUMN_SPAN if not full_span
-               else Verdict.EXISTS if stable else Verdict.NOT_EXISTS)
-    if verdict is not Verdict.EXISTS:
-        no_law = NoStationaryDistributionError(
-            f"no stationary distribution: verdict {verdict.value}")
-    elif not solved:  # B is stable, so only a G beyond the float64 range fails
-        no_law = NonFiniteError("the stationary covariance overflows float64")
-    else:
-        try:
-            return verdict, stable, GaussianLaw(model.A.copy(), g), None
-        except (NotPositiveDefiniteError, NotSymmetricError) as exc:
-            no_law = exc
-    return verdict, stable, None, no_law
-
-
 def stationary_exists(model: OuModel) -> StationarityVerdict:
     """Decide existence of a stationary law when sigma has full column span.
 
     Full column span (rank(sigma) = p) makes existence equivalent to
-    stability of B. Without full span the verdict is indeterminate; only
-    the controllability rank is reported. The verdict carries the law when
-    it exists and is representable (see `StationarityVerdict`).
+    stability of B, and the controllability rank p. Without it the verdict
+    is indeterminate, and the rank is `controllability_rank`'s. The verdict
+    carries the law when it exists and is representable (see
+    `StationarityVerdict`); its mean is A, since B is then invertible.
     """
-    verdict, stable, law, no_law = _decide(model)
-    ctrl = controllability_rank(model.B, model.sigma)
-    full_span = verdict is not Verdict.INDETERMINATE_COLUMN_SPAN
+    full_span = matkit.rank(model.sigma) == model.p
+    u, s = stability._unit(model.B).item(), stability._unit(model.sigma).item()
+    scaled = model.sigma / s
+    stable, x = stability.solve_lyapunov(model.B / u, scaled @ scaled.T)
+    verdict = (Verdict.INDETERMINATE_COLUMN_SPAN if not full_span
+               else Verdict.EXISTS if stable else Verdict.NOT_EXISTS)
+    ctrl = model.p if full_span else controllability_rank(model.B, model.sigma)
+    law = no_law = None
+    with np.errstate(over="ignore"):
+        g = None if x is None else np.ldexp(x, int(2 * math.log2(s) - math.log2(u)))
+    if verdict is not Verdict.EXISTS:
+        no_law = NoStationaryDistributionError(
+            f"no stationary distribution: verdict {verdict.value}")
+    elif not np.isfinite(g).all():
+        no_law = NonFiniteError("the stationary covariance overflows float64")
+    else:
+        try:
+            law = GaussianLaw(model.A.copy(), g)
+        except (NotPositiveDefiniteError, NotSymmetricError) as exc:
+            no_law = exc
     return StationarityVerdict(verdict, ctrl, full_span, stable, law, no_law)
 
 
@@ -157,10 +148,10 @@ def stationary_distribution(model: OuModel) -> GaussianLaw:
     B G + G B^T + sigma sigma^T = 0 and is explicitly symmetrized; a G
     beyond the float64 range raises NonFiniteError.
     """
-    _, _, law, no_law = _decide(model)
-    if law is None:
-        raise no_law
-    return law
+    verdict = stationary_exists(model)
+    if verdict.law is None:
+        raise verdict._no_law
+    return verdict.law
 
 
 _CLOSED_FORM_TARGETS = ("X2", "X3")

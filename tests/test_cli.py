@@ -227,6 +227,28 @@ def test_stationary_exists_with_column_sums_beyond_float64_max(tmp_path, capsys)
     assert cli.main(["stationary", path]) == 0
 
 
+@pytest.mark.parametrize("b, sigma, scale", [
+    ([[-1.0, 0.0], [0.0, -1.0]], 2.0**-540, 2.0**-1060),  # X for Q = I overflowed
+    ([[-1.0, 0.3], [0.0, -2.0]], 1e154, 1.0),             # sigma sigma^T overflowed
+])
+def test_stationary_near_the_float64_extremes(tmp_path, capsys, b, sigma, scale):
+    # G(s B, sigma) = G(B, sigma) / s; the oracle solves at unit scale.
+    doc = dict(ROTATING, B=(scale * np.array(b)).tolist(), sigma=(sigma * np.eye(2)).tolist())
+    assert cli.main(["stationary", write_model(tmp_path, doc)]) == 0
+    cov = np.array(json.loads(capsys.readouterr().out)["cov"]) / sigma * scale / sigma
+    expect = solve_continuous_lyapunov(np.array(b), -np.eye(2))
+    assert np.max(np.abs(cov - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+def test_describe_reports_rank_p_for_a_spanning_sigma(tmp_path, capsys):
+    doc = {"p": 4, "d": 4, "x0": [0.0] * 4, "A": [0.0] * 4, "B": (-np.eye(4)).tolist(),
+           "sigma": np.diag([1.0, 1.0, 1.0, 1e-15]).tolist()}
+    assert cli.main(["describe", write_model(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sigma_full_column_span"] is True
+    assert report["controllability_rank"] == 4
+
+
 def test_describe_with_entries_near_float64_max(tmp_path, capsys):
     # The bisection midpoint of the Gershgorin bracket [-1.5e308, -5e307]
     # must not overflow: 0.5 * (lo + hi) read -inf and made B - mid I NaN.
@@ -440,6 +462,22 @@ def test_simulate_unstable_overflow_exits_5(tmp_path, flags):
     assert out.stdout == ""
     assert "RuntimeWarning" not in out.stderr
     assert "overflow float64" in out.stderr
+
+
+@pytest.mark.parametrize("model, flags", [
+    # t |B|_1 overflows in the exact sampler's doubling count
+    (dict(ROTATING, B=[[-1.0, 0.5], [0.0, -2.0]]), ("--t", "1e308", "--steps", "1")),
+    # (X - mean)^T (X - mean) overflows, though the covariance, about 1e308, does not
+    (dict(ROTATING, B=[[-1.0, 0.0], [0.0, -1.0]], sigma=[[1e154, 0.0], [0.0, 1e154]]),
+     ("--method", "euler", "--paths", "50", "--t", "1", "--steps", "2")),
+])
+def test_simulate_stats_only_near_float64_max(tmp_path, capsys, model, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _run_in_process(capsys, "simulate", write_model(tmp_path, model),
+                              "--stats-only", *flags)
+    stats = json.loads(out)
+    assert np.all(np.isfinite(stats["cov"])) and np.all(np.isfinite(stats["se_mean"]))
 
 
 def test_simulate_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):

@@ -277,11 +277,14 @@ _stacks = st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
 @given(stack=_stacks)
 def test_stacked_solves_equal_serial_reference(stack):
     # Q = B B^T + I is symmetric; the verdicts and X must match bit for bit,
-    # in the stack and alone, whether B is stable or not.
+    # in the stack and alone, whether B is stable or not. `solve_lyapunov`
+    # first refuses a B singular within rounding, such as
+    # [[-1, -6e-185], [-6e-185, -6e-185]], which the sign iteration reads Stable.
     q = stack @ stack.transpose(0, 2, 1) + np.eye(stack.shape[1])
     for (b, qm), solution in zip(zip(stack, q), solve_lyapunov_stack(stack, q)):
         _same_solution(solution, _reference_solve(b, qm))
-        _same_solution(solve_lyapunov(b, qm), _reference_solve(b, qm))
+        _same_solution(solve_lyapunov(b, qm), _reference_solve(b, qm)
+                       if stability._invertible(b) else (False, None))
 
 
 @settings(max_examples=60, deadline=None)

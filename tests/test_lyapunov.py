@@ -26,6 +26,7 @@ from oucausal import (
     stationary_exists,
 )
 from oucausal import stability
+from oucausal.errors import NonFiniteError
 from oucausal.stability import solve_lyapunov
 
 TOL = 1e-9
@@ -199,6 +200,39 @@ def test_verdict_invariant_under_symmetric_permutation(b, data):
     perm = data.draw(st.permutations(range(b.shape[0])))
     permuted = b[np.ix_(perm, perm)]
     assert is_stable(permuted)[0] == is_stable(b)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=_matrices, data=st.data(), j=st.integers(-1100, 1100), k=st.integers(-600, 600))
+def test_stationarity_invariant_under_power_of_two_scaling(b, data, j, k):
+    # The one solve runs on B and sigma divided by their powers of two, so
+    # 2^j B and 2^k sigma give the same verdicts and G 2^(2k - j), bit for
+    # bit, or NonFiniteError where that overflows. Checked where both
+    # scalings are exact and no entry of either G is subnormal.
+    p = b.shape[0]
+    sigma = data.draw(arrays(np.float64, (p, data.draw(st.integers(1, p + 1))),
+                             elements=st.floats(-3.0, 3.0, allow_nan=False, width=64)))
+    with np.errstate(over="ignore"):
+        scaled_b, scaled_sigma = np.ldexp(b, j), np.ldexp(sigma, k)
+    assume(np.array_equal(np.ldexp(scaled_b, -j), b)
+           and np.array_equal(np.ldexp(scaled_sigma, -k), sigma))
+
+    def decide(bm, sm):
+        return stationary_exists(OuModel(p=p, d=sm.shape[1], x0=np.zeros(p),
+                                         A=np.zeros(p), B=bm, sigma=sm))
+
+    base, scaled = decide(b, sigma), decide(scaled_b, scaled_sigma)
+    assert (scaled.verdict, scaled.b_stable) == (base.verdict, base.b_stable)
+    if base.law is None:
+        return
+    with np.errstate(over="ignore"):
+        expect = np.ldexp(base.law.cov, 2 * k - j)
+    if not np.isfinite(expect).all():
+        assert scaled.law is None and isinstance(scaled._no_law, NonFiniteError)
+        return
+    zero, tiny = base.law.cov == 0, np.finfo(float).tiny
+    if np.all(zero | ((np.abs(base.law.cov) >= tiny) & (np.abs(expect) >= tiny))):
+        assert np.array_equal(scaled.law.cov, expect)
 
 
 # ---------------------------------------------- non-normal fault regressions

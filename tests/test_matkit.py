@@ -78,6 +78,11 @@ def test_expm_zero_matrix():
     assert matkit.expm(np.zeros((0, 0))).shape == (0, 0)
 
 
+def test_expm_with_entries_near_float64_max():
+    # 1025 squarings: 2.0**1025 overflowed where M is scaled down.
+    assert np.array_equal(matkit.expm([[-1e308]]), [[0.0]])
+
+
 def test_expm_diagonal():
     e = matkit.expm(np.diag([0.3, -1.2]))
     assert np.allclose(e, np.diag([np.exp(0.3), np.exp(-1.2)]), rtol=1e-14)

@@ -200,6 +200,29 @@ def test_transition_converges_to_stationary_covariance():
 def test_transition_rejects_nonpositive_time():
     with pytest.raises(NonPositiveStepError):
         exact_transition(demo_triangular(), 0.0)
+    with pytest.raises(NonFiniteError):
+        exact_transition(demo_triangular(), np.inf)
+
+
+def test_transition_over_a_horizon_near_float64_max():
+    # t |B|_1 overflows, so the doubling count comes from mantissas and
+    # exponents; at t = 1e308 the law is the stationary one.
+    m = OuModel(p=2, d=2, x0=np.zeros(2), A=np.ones(2), B=[[-1.0, 0.5], [0.0, -2.0]],
+                sigma=np.eye(2))
+    f, g, q = exact_transition(m, 1e308)
+    assert not f.any() and np.array_equal(g, m.A)
+    gamma = stationary_distribution(m).cov
+    assert np.max(np.abs(q - gamma)) <= 1e-15 * np.max(np.abs(gamma))
+
+
+def test_transition_with_b_near_float64_max():
+    # 1024 doublings: 2.0**1024 overflowed where the step is halved. Only the
+    # fast coordinate is checked; at that step the slow one rounds to F = 1.
+    m = OuModel(p=2, d=2, x0=np.zeros(2), A=np.zeros(2), B=np.diag([-1e308, -1.0]),
+                sigma=np.eye(2))
+    f, _, q = exact_transition(m, 1.0)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(q))
+    assert f[0, 0] == 0.0 and abs(q[0, 0] - 5e-309) <= 1e-14 * 5e-309
 
 
 
@@ -573,6 +596,21 @@ def test_path_stats_matches_stationary_law():
     stats = path_stats(bundle, -1)
     law = stationary_distribution(m)
     assert np.all(np.abs(stats.mean - law.mean) <= 4 * stats.se_mean)
+
+
+def test_sample_stats_scale_columns_without_changing_bits():
+    # Dividing each column by a power of two changes no bit of the
+    # covariance, and keeps it finite while it is representable.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x = rng.standard_normal((int(rng.integers(2, 40)), 3)) * 10.0 ** rng.uniform(-8, 8, 3)
+        centered = x - x.mean(axis=0)
+        expect = centered.T @ centered / (len(x) - 1)
+        assert np.array_equal(simulate._sample_stats(x).cov, expect)
+    x = np.array([[1e154, 1.0], [-1e154, -1.0], [1e154, 1.0]])
+    assert np.all(np.isfinite(simulate._sample_stats(x).cov))
+    with pytest.raises(NonFiniteError, match="sample covariance overflows"):
+        simulate._sample_stats(np.array([[1e300], [-1e300]]) * 1e8)
 
 
 def test_path_stats_validation():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 from oucausal import (
     GaussianLaw,
@@ -13,7 +14,7 @@ from oucausal import (
     stationary_distribution,
     stationary_exists,
 )
-from oucausal import matkit
+from oucausal import matkit, stability
 from oucausal.errors import (
     NonFiniteError,
     NoStationaryDistributionError,
@@ -69,6 +70,8 @@ def test_controllability_identity_sigma():
 def test_controllability_parallel_column():
     assert controllability_rank(np.eye(2), np.array([[1.0], [0.0]])) == 1
     assert controllability_rank(np.eye(2), np.zeros((2, 0))) == 0
+    # B sigma = 2^1024 [1, 1]^T overflowed unless B is divided by its power of two.
+    assert controllability_rank(2.0**1023 * np.ones((2, 2)), np.ones((2, 1))) == 1
 
 
 def test_controllability_nilpotent_shift():
@@ -173,6 +176,48 @@ def test_covariance_overflow_keeps_the_verdict():
     assert verdict.b_stable and verdict.law is None
     with pytest.raises(NonFiniteError, match="the stationary covariance overflows float64"):
         stationary_distribution(m)
+
+
+def test_subnormal_b_has_a_representable_law():
+    # X for Q = I is about 2^1059, beyond float64, but G = 2^-21 I is not:
+    # the solve runs on B and sigma divided by their powers of two.
+    m = _model(-(2.0**-1060) * np.eye(2), 2.0**-540 * np.eye(2))
+    verdict = stationary_exists(m)
+    assert verdict.verdict is Verdict.EXISTS and verdict.b_stable
+    assert np.array_equal(verdict.law.cov, 2.0**-21 * np.eye(2))
+
+
+@pytest.mark.parametrize("b, sigma", [
+    # G near 5e307: sigma sigma^T = 1e308 I no longer overflows on the way.
+    ([[-1.0, 0.3], [0.0, -2.0]], 1e154),
+    # max|B| >= 2^1023 with (sigma / 2^33)^2 > 2: the right-hand side is
+    # scaled with sigma, not multiplied back by B's power of two.
+    ([[-1e308, 0.0], [0.0, -1e308]], 1.5e10),
+])
+def test_covariance_near_the_float64_extremes(b, sigma):
+    b = np.array(b)
+    law = stationary_exists(_model(b, sigma * np.eye(2))).law
+    scale = np.max(np.abs(b))
+    expect = solve_continuous_lyapunov(b / scale, -np.eye(2))
+    assert np.max(np.abs(law.cov * scale / sigma**2 - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+def test_full_span_fixes_the_controllability_rank():
+    # The Krylov matrix [sigma, -sigma, sigma, -sigma] has rank 3 at working
+    # precision, but sigma itself spans R^4, so the rank is p.
+    verdict = stationary_exists(_model(-np.eye(4), np.diag([1.0, 1.0, 1.0, 1e-15])))
+    assert verdict.sigma_full_column_span and verdict.controllability_rank == 4
+    assert verdict.verdict is Verdict.EXISTS
+
+
+@pytest.mark.parametrize("decide", [stationary_exists, stationary_distribution])
+def test_stationarity_takes_one_solve_of_one_member(monkeypatch, decide):
+    sizes = []
+    solve = stability.solve_lyapunov_stack
+    monkeypatch.setattr(stability, "solve_lyapunov_stack",
+                        lambda b, q, *args: sizes.append(len(b)) or solve(b, q, *args))
+    decide(_model(np.array([[-1.0, 0.4], [0.2, -2.0]]), np.array([[1.0, 0.0], [0.5, 2.0]])))
+    assert sizes == [1]
 
 
 def test_lyapunov_residual_and_definiteness_random():
