@@ -11,7 +11,9 @@ including stdout closed by its reader (broken pipe, no message) and any
 other stdout write failure, such as a full disk, which prints
 `error: cannot write output: ...`.
 `main` may be called repeatedly in one process: it builds its parser once
-and looks each command's handler up by name.
+and looks each command's handler up by name. Only `simulate` imports the
+simulator (`oucausal.simulate`), when it runs; the other commands never
+load it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .errors import (
 )
 from .modelfile import dumps_model, load_model_file, resolve_coordinate
 from .models import Intervention, OuModel, dependence_graph, intervene_seq
-from .simulate import run, uniform_grid
 
 # (error classes, exit code); the first row that matches an error wins.
 _EXIT_CODES = (
@@ -176,6 +177,7 @@ def _paths_csv(header: list[str], grid_t: np.ndarray, columns: np.ndarray) -> li
 
 
 def cmd_simulate(args) -> str | list[str]:
+    from . import simulate
     if args.coupled and args.method == "exact":
         raise ModelFileError("--coupled steps by Euler only; --method exact does not apply")
     if args.coupled:
@@ -188,9 +190,9 @@ def cmd_simulate(args) -> str | list[str]:
         iv = file_ivs[0]
     else:
         model, iv = _load_reduced(args), None
-    grid = uniform_grid(args.t, args.steps)
-    result = run(model, grid, args.paths, args.seed, args.method or "exact", iv,
-                 args.stats_only)
+    grid = simulate.uniform_grid(args.t, args.steps)
+    result = simulate.run(model, grid, args.paths, args.seed, args.method or "exact", iv,
+                          args.stats_only)
     if args.stats_only:
         return _stats_json(grid, model.labels, args.paths, result)
     header = ["path", "t", *model.labels]

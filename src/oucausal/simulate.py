@@ -51,8 +51,9 @@ def _step_normals(seed: int, k: int, n_paths: int, count: int) -> np.ndarray:
     SeedSequence of (seed, k) through numpy's ziggurat sampler. Row i is path
     i's draws, so a path's draws are a pure function of (seed, k, i) and do
     not depend on how many paths run beside it."""
-    # Reached by attribute access, so commands that never simulate never
-    # import numpy.random (about 13 ms and 6 MB).
+    # Reached by attribute access, so importing this module does not import
+    # numpy.random (about 13 ms and 6 MB); the first draw does. The CLI
+    # imports this module for `simulate` alone.
     random = np.random
     key = random.SeedSequence([int(seed) & _MASK64, int(k) & _MASK64])
     return random.Generator(random.PCG64(key)).standard_normal((n_paths, count))
@@ -139,10 +140,12 @@ def exact_transition(model: OuModel, t: float) -> tuple[np.ndarray, np.ndarray, 
         raise NonFiniteError("t must be finite")
     p = model.p
     s = model.sigma @ model.sigma.T
-    nrm = np.linalg.norm(model.B, 1)
-    # ceil(log2(t |B|_1)) from the mantissas and exponents, as t |B|_1 can overflow.
+    # ceil(log2(t |B|_1)) from the mantissas and exponents, as t |B|_1 can
+    # overflow; so can |B|_1, hence the norm of B / 2^eb with max|B| < 2^eb.
+    eb = np.frexp(np.abs(model.B).max())[1]
+    nrm = np.linalg.norm(np.ldexp(model.B, -eb), 1)
     (mt, et), (mn, en) = np.frexp(t), np.frexp(nrm)
-    doublings = 0 if nrm == 0 else max(0, int(np.ceil(np.log2(mt * mn))) + et + en)
+    doublings = 0 if nrm == 0 else max(0, int(np.ceil(np.log2(mt * mn))) + et + en + eb)
     block = np.zeros((2 * p, 2 * p))
     block[:p, :p] = model.B
     block[:p, p:] = s

@@ -480,11 +480,21 @@ def test_simulate_stats_only_near_float64_max(tmp_path, capsys, model, flags):
     assert np.all(np.isfinite(stats["cov"])) and np.all(np.isfinite(stats["se_mean"]))
 
 
+def test_simulate_exact_with_b_norm_past_float64_max(tmp_path):
+    # |B|_1 = 2e308 overflows float64; the exact transition is still sized.
+    model = dict(ROTATING, B=[[-1e308, 0.0], [1e308, -1e308]])
+    out = run_cli("simulate", write_model(tmp_path, model), "--t", "1", "--steps", "1",
+                  "--stats-only")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert np.all(np.isfinite(json.loads(out.stdout)["cov"]))
+
+
 def test_simulate_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
-    monkeypatch.setattr(cli, "run", exhausted)
+    monkeypatch.setattr(simulate, "run", exhausted)
     code = cli.main(["simulate", write_model(tmp_path, DEMO), "--stats-only"])
     captured = capsys.readouterr()
     assert code == 1
@@ -529,6 +539,33 @@ def test_analysis_commands_do_not_import_numpy_random(tmp_path):
     codes, before, after = out.stdout.rsplit(" ", 2)
     assert codes == "[0, 0]", out.stderr
     assert after.strip() == before
+
+
+def test_modelfile_import_loads_no_analysis_module():
+    script = (
+        "import sys\n"
+        "import oucausal.modelfile\n"
+        "print([m for m in ('oucausal.simulate', 'oucausal.stability', 'oucausal.stationary')\n"
+        "       if m in sys.modules])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["describe", "stationary", "stability", "intervene",
+                                     "graph"])
+def test_analysis_commands_do_not_load_the_simulator(tmp_path, command):
+    # -X importtime names every module the interpreter imports, one per line.
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "oucausal", command,
+         write_model(tmp_path, DEMO)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "oucausal.cli" in loaded
+    assert "oucausal.simulate" not in loaded
 
 
 def _csv_writer_reference(header, grid_t, columns):

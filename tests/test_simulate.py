@@ -225,6 +225,24 @@ def test_transition_with_b_near_float64_max():
     assert f[0, 0] == 0.0 and abs(q[0, 0] - 5e-309) <= 1e-14 * 5e-309
 
 
+@pytest.mark.parametrize("b, t", [
+    # |B|_1 = 2e308 overflows; the halved B's norm does not.
+    ([[-1e308, 0.0], [1e308, -1e308]], 3e-308),
+    ([[-1e308, 0.0], [1e308, -1e308]], 1e-307),
+    ([[-1e308, 0.0], [1e308, -1e308]], 1.0),
+    ([[-1.0, 0.5], [0.2, -2.0]], 0.7),
+])
+def test_transition_of_half_b_over_twice_the_time(b, t):
+    # F(B, t) = F(B/2, 2t) and Q(B/2, 2t) = 2 Q(B, t).
+    b = np.array(b)
+    full, half = (OuModel(p=2, d=2, x0=np.zeros(2), A=np.ones(2), B=m,
+                          sigma=1e150 * np.eye(2)) for m in (b, b / 2))
+    f, _, q = exact_transition(full, t)
+    f_half, _, q_half = exact_transition(half, 2 * t)
+    assert np.max(np.abs(f - f_half)) <= 1e-14
+    assert np.max(np.abs(2 * q - q_half)) <= 1e-14 * np.max(np.abs(q_half))
+
+
 
 def _van_loan(model, t):
     # scipy oracle: exp(t [[B, S], [0, -B^T]]) = [[F, E12], [0, *]], Q = E12 F^T.
