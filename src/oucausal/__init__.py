@@ -18,7 +18,7 @@ from . import errors
 _EXPORTS = {
     "models": ("DependenceGraph", "GeneralSde", "Intervention", "InterventionRecord",
                "OuModel", "dependence_graph", "intervene_general", "intervene_ou",
-               "intervene_seq", "intervened_dependence_graph", "ou_as_general"),
+               "intervene_seq", "ou_as_general"),
     "simulate": ("PathBundle", "PathStats", "TimeGrid", "coupled_intervention_diff",
                  "exact_transition", "path_stats", "simulate_paths", "uniform_grid"),
     "stability": ("Classification", "StabilityReport", "SubmatrixScreen", "classify",
@@ -26,8 +26,7 @@ _EXPORTS = {
                   "screen_principal_submatrices", "spectral_abscissa",
                   "verify_diagonal_certificate"),
     "stationary": ("GaussianLaw", "StationarityVerdict", "Verdict", "controllability_rank",
-                   "intervened_stationary_closed_form", "stationary_distribution",
-                   "stationary_exists"),
+                   "stationary_distribution", "stationary_exists"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,9 +11,12 @@ including stdout closed by its reader (broken pipe, no message) and any
 other stdout write failure, such as a full disk, which prints
 `error: cannot write output: ...`.
 `main` may be called repeatedly in one process: it builds its parser once
-and looks each command's handler up by name. Only `simulate` imports the
-simulator (`oucausal.simulate`), when it runs; the other commands never
-load it.
+and looks each command's handler up by name. Each handler imports the
+analysis modules it runs, when it runs: `describe` loads `oucausal.stability`
+and `oucausal.stationary`, `stationary` loads `oucausal.stationary` (which
+loads `oucausal.stability`), `stability` loads `oucausal.stability`, and
+`simulate` loads the simulator (`oucausal.simulate`). `intervene` and
+`graph` load none of them.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import sys
 
 import numpy as np
 
-from . import stability as stab
-from . import stationary as stat
 from .errors import (
     BadCoordinateError,
     DimensionError,
@@ -40,6 +41,7 @@ from .errors import (
     SimulationOverflowError,
     SingularReducedMatrixError,
 )
+from .matkit import DEFAULT_TOL
 from .modelfile import dumps_model, load_model_file, resolve_coordinate
 from .models import Intervention, OuModel, dependence_graph, intervene_seq
 
@@ -94,9 +96,10 @@ def _load_reduced(args) -> OuModel:
 
 
 def cmd_describe(args) -> str:
+    from . import stability, stationary
     model = _load_reduced(args)
-    report = stab.classify(model.B, tol=args.tol)
-    verdict = stat.stationary_exists(model)
+    report = stability.classify(model.B, tol=args.tol)
+    verdict = stationary.stationary_exists(model)
     doc = {
         "p": model.p,
         "d": model.d,
@@ -109,7 +112,7 @@ def cmd_describe(args) -> str:
         "sigma_full_column_span": verdict.sigma_full_column_span,
         "stationarity": verdict.verdict.value,
     }
-    if verdict.verdict is stat.Verdict.EXISTS:
+    if verdict.verdict is stationary.Verdict.EXISTS:
         if verdict.law is None:
             raise verdict._no_law
         doc["stationary"] = {"mean": verdict.law.mean.tolist(), "cov": verdict.law.cov.tolist()}
@@ -124,17 +127,19 @@ def cmd_intervene(args) -> str:
 
 
 def cmd_stationary(args) -> str:
+    from . import stationary
     model = _load_reduced(args)
-    law = stat.stationary_distribution(model)
+    law = stationary.stationary_distribution(model)
     return json.dumps({"mean": law.mean.tolist(), "cov": law.cov.tolist()}, indent=2) + "\n"
 
 
 def cmd_stability(args) -> str:
+    from . import stability
     model = _load_reduced(args)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["removed_set", "classification", "abscissa"])
-    screen = stab.screen_principal_submatrices(
+    screen = stability.screen_principal_submatrices(
         model.B, max_size_removed=None if args.submatrices else 0, tol=args.tol)
     for removed, report in screen.entries:
         writer.writerow([
@@ -230,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("describe", "dimensions, stability, controllability, stationary law")
-    p.add_argument("--tol", type=_positive_float, default=stab.DEFAULT_TOL,
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
                    help="spectral abscissa tolerance (default 1e-9)")
 
     p = add("intervene", "pin coordinates and emit the reduced model")
@@ -242,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("stability", "stability classification as CSV")
     p.add_argument("--submatrices", action="store_true",
                    help="also classify every proper principal submatrix")
-    p.add_argument("--tol", type=_positive_float, default=stab.DEFAULT_TOL,
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
                    help="spectral abscissa tolerance (default 1e-9)")
 
     p = add("graph", "dependence graph as JSON or DOT")

@@ -49,10 +49,6 @@ class NoStationaryDistributionError(OuCausalError):
     """The model has no stationary distribution (or existence is undecided)."""
 
 
-class PreconditionError(OuCausalError):
-    """An argument violates a documented precondition."""
-
-
 class TooLargeError(OuCausalError):
     """Submatrix enumeration would exceed the subset budget."""
 

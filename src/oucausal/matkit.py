@@ -24,6 +24,7 @@ from .errors import (
 )
 
 _EPS = 2.0**-52
+DEFAULT_TOL = 1e-9  # spectral abscissa tolerance of `stability` and the CLI
 
 # Degree-13 Pade numerator coefficients for expm, constant term first:
 # b_j = C(13, j) (26 - j)! / 26!, the usual table divided by its constant

@@ -39,7 +39,7 @@ def resolve_coordinate(labels: tuple[str, ...], token) -> int:
     if isinstance(token, str):
         if token in labels:
             return labels.index(token) + 1
-        if token.isdigit():
+        if token.isdecimal():  # exactly the digit strings int() accepts
             return resolve_coordinate(labels, int(token))
         raise ModelFileError(f"unknown coordinate label {token!r}")
     raise ModelFileError(f"coordinate reference {token!r} is not a label or index")
@@ -53,7 +53,7 @@ def parse_model_document(text: str) -> tuple[OuModel, list[Intervention]]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise ModelFileError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ModelFileError("top-level JSON value must be an object")
@@ -104,7 +104,7 @@ def load_model_file(path: str) -> tuple[OuModel, list[Intervention]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file: {exc}")
     return parse_model_document(text)
 

@@ -17,11 +17,11 @@ the model the previous stage left. An InterventionRecord tells which
 original coordinates were pinned, to which constants, and which survive.
 Coordinate indices are 1-based on every user-facing surface.
 
-Every pin entry point (`intervene_ou`, `intervene_seq`, `intervene_general`
-and `intervened_dependence_graph`) checks its pins through one walk, so a
-bad pin raises the same error, with the same stage-numbered message, from
-each of them. The OU reduction itself is written once, in `intervene_seq`;
-`intervene_ou` is its one-stage case.
+Every pin entry point (`intervene_ou`, `intervene_seq` and
+`intervene_general`) checks its pins through one walk, so a bad pin raises
+the same error, with the same stage-numbered message, from each of them.
+The OU reduction itself is written once, in `intervene_seq`; `intervene_ou`
+is its one-stage case.
 """
 
 from __future__ import annotations
@@ -256,24 +256,6 @@ def dependence_graph(model: OuModel, tol: float = 0.0) -> DependenceGraph:
             if abs(model.B[i, j]) > tol:
                 edges.append((model.labels[j], model.labels[i]))
     return DependenceGraph(model.labels, tuple(edges))
-
-
-def intervened_dependence_graph(
-    model: OuModel, ivs: Intervention | Iterable[Intervention], tol: float = 0.0
-) -> DependenceGraph:
-    """Graph of the pinned process on all p original coordinates.
-
-    A pinned node keeps its outgoing edges (its constant level still enters
-    the drift of other coordinates) but loses its incoming edges and its
-    self-loop. The graph of the reduced (p-1)-dimensional model itself is
-    `dependence_graph(reduced)`; this view keeps the pinned nodes visible.
-    The pins are checked as in `intervene_seq`; nothing is solved.
-    """
-    if isinstance(ivs, Intervention):
-        ivs = [ivs]
-    pinned = {record.fixed[-1][0] for _, record in _pins(model.labels, ivs)}
-    graph = dependence_graph(model, tol)
-    return DependenceGraph(graph.nodes, tuple(e for e in graph.edges if e[1] not in pinned))
 
 
 @dataclass(frozen=True, eq=False)

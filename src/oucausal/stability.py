@@ -63,8 +63,8 @@ import numpy as np
 
 from . import matkit
 from .errors import DimensionError, TooLargeError
+from .matkit import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-9
 DEFAULT_SUBSET_BUDGET = 2**14
 _SIGN_MAX_ITER = 100  # far above the ~10-40 steps a decidable input needs
 _SWAMPED_SCORE = 1e4  # scaled residual of a swamped solve; see solve_lyapunov_stack

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     OuCausalError,
-    PreconditionError,
 )
 from .models import OuModel
 
@@ -153,64 +151,3 @@ def stationary_distribution(model: OuModel) -> GaussianLaw:
         raise verdict._no_law
     return verdict.law
 
-
-_CLOSED_FORM_TARGETS = ("X2", "X3")
-
-
-def intervened_stationary_closed_form(
-    b, a, c: float, which: Literal["X2", "X3"]
-) -> GaussianLaw:
-    """Closed-form stationary law of the two surviving coordinates after
-    pinning one coordinate of the 3-dimensional triangular benchmark model.
-
-    The setting is a 3-dimensional OU model with sigma = I and upper
-    triangular B with strictly negative diagonal. Pinning X2 := c leaves
-    coordinates (X1, X3) with
-
-        mean = [a1 - (b12/b11) (c - a2), a3]
-        cov  = [[-1/(2 b11) - b13^2 / (2 b11 b33 (b11 + b33)),
-                 b13 / (2 b33 (b11 + b33))],
-                [b13 / (2 b33 (b11 + b33)), -1/(2 b33)]]
-
-    and pinning X3 := c leaves (X1, X2) with
-
-        mean = [a1 - (b13/b11 - b12 b23 / (b11 b22)) (c - a3),
-                a2 - (b23/b22) (c - a3)]
-        cov  = same form with (b12, b22) in place of (b13, b33).
-
-    The covariance formulas remain valid when the two diagonal entries
-    coincide, so no separate branch is needed, and they do not involve c.
-    """
-    bm = matkit.as_matrix(b, 3, 3, "B")
-    av = matkit.as_vector(a, 3, "A")
-    c = float(c)
-    if not np.isfinite(c):
-        raise PreconditionError("c must be finite")
-    if which not in _CLOSED_FORM_TARGETS:
-        raise PreconditionError(f"which must be one of {_CLOSED_FORM_TARGETS}")
-    lower = np.tril(bm, -1)
-    if np.any(lower != 0.0):
-        raise PreconditionError("B must be upper triangular")
-    if np.any(np.diag(bm) >= 0.0):
-        raise PreconditionError("B must have strictly negative diagonal")
-
-    b11, b12, b13 = bm[0, 0], bm[0, 1], bm[0, 2]
-    b22, b23 = bm[1, 1], bm[1, 2]
-    b33 = bm[2, 2]
-    a1, a2, a3 = av
-
-    if which == "X2":
-        mean = np.array([a1 - (b12 / b11) * (c - a2), a3])
-        b1k, bkk = b13, b33  # X1's coupling to the other survivor, and its rate
-    else:
-        mean = np.array([
-            a1 - (b13 / b11 - b12 * b23 / (b11 * b22)) * (c - a3),
-            a2 - (b23 / b22) * (c - a3),
-        ])
-        b1k, bkk = b12, b22
-    off = b1k / (2.0 * bkk * (b11 + bkk))
-    cov = np.array([
-        [-1.0 / (2.0 * b11) - b1k**2 / (2.0 * b11 * bkk * (b11 + bkk)), off],
-        [off, -1.0 / (2.0 * bkk)],
-    ])
-    return GaussianLaw(mean, cov)

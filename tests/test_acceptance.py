@@ -19,7 +19,6 @@ from oucausal import (
     classify,
     coupled_intervention_diff,
     intervene_ou,
-    intervened_stationary_closed_form,
     path_stats,
     simulate_paths,
     spectral_abscissa,
@@ -27,7 +26,9 @@ from oucausal import (
     uniform_grid,
 )
 from oucausal import matkit
-from util import gamma_by_quadrature, principal_submatrix, random_triangular
+from util import (
+    gamma_by_quadrature, intervened_stationary_closed_form, principal_submatrix, random_triangular,
+)
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])
 

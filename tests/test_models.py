@@ -14,7 +14,6 @@ from oucausal import (
     intervene_general,
     intervene_ou,
     intervene_seq,
-    intervened_dependence_graph,
     ou_as_general,
     path_stats,
     simulate_paths,
@@ -155,8 +154,6 @@ def test_intervene_bad_coordinate():
         intervene_ou(m, Intervention(4, 0.0))
     with pytest.raises(BadCoordinateError, match=r"^stage 2: coordinate 4 outside 1\.\.3$"):
         intervene_seq(m, [Intervention(1, 0.0), Intervention(4, 0.0)])
-    with pytest.raises(BadCoordinateError, match=r"^stage 1: coordinate 4 outside 1\.\.3$"):
-        intervened_dependence_graph(m, Intervention(4, 0.0))
 
 
 def test_intervene_singular_reduced_block():
@@ -171,7 +168,6 @@ PIN_ENTRY_POINTS = {
     "intervene_ou": intervene_ou,
     "intervene_seq": lambda m, iv: intervene_seq(m, [iv]),
     "intervene_general": lambda m, iv: intervene_general(ou_as_general(m), iv),
-    "intervened_dependence_graph": intervened_dependence_graph,
 }
 
 
@@ -186,9 +182,6 @@ def test_every_pin_entry_point_checks_a_pin_alike(entry, p, m):
         with pytest.raises(BadCoordinateError,
                            match=rf"^stage 1: coordinate {m} outside 1\.\.{p}$"):
             call()
-    elif entry == "intervened_dependence_graph":
-        # Nothing is reduced: the pinned X1 only loses its self-loop.
-        assert call().edges == ()
     else:
         with pytest.raises(DimensionError,
                            match=r"^cannot pin a coordinate of a 1-dimensional (model|SDE)$"):
@@ -229,13 +222,11 @@ def test_seq_duplicate_rejected():
     with pytest.raises(DuplicateInterventionError, match="^coordinate 'X2' was already pinned$"):
         intervene_seq(m, twice)
     # Pinning X2 of this B leaves a singular block, which intervene_seq
-    # reports first; the graph view solves nothing, so it sees the repeat.
+    # reports before it reaches the repeat.
     b = np.array([[0.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
     m = OuModel(p=3, d=3, x0=np.zeros(3), A=np.zeros(3), B=b, sigma=np.eye(3))
     with pytest.raises(SingularReducedMatrixError):
         intervene_seq(m, twice)
-    with pytest.raises(DuplicateInterventionError, match="^coordinate 'X2' was already pinned$"):
-        intervened_dependence_graph(m, twice)
 
 
 def test_seq_resolves_original_indices():
@@ -336,27 +327,6 @@ def test_graph_of_reduced_model_is_restriction():
         expected = tuple((s, t) for s, t in full.edges
                          if s != pinned and t != pinned)
         assert sub.edges == expected
-
-
-def test_pinned_view_keeps_outgoing_edges():
-    # Pinning X2: its self-loop and incoming edges vanish, its outgoing edge
-    # to X1 stays visible in the 3-node view.
-    m = demo_triangular()
-    g = intervened_dependence_graph(m, Intervention(2, 1.0))
-    assert g.nodes == ("X1", "X2", "X3")
-    assert set(g.edges) == {("X1", "X1"), ("X2", "X1"), ("X3", "X1"), ("X3", "X3")}
-    assert ("X2", "X2") not in g.edges
-    assert ("X3", "X2") not in g.edges
-
-
-def test_pinned_view_x3():
-    m = demo_triangular()
-    g = intervened_dependence_graph(m, Intervention(3, 1.0))
-    assert set(g.edges) == {
-        ("X1", "X1"), ("X2", "X1"), ("X3", "X1"),
-        ("X2", "X2"), ("X3", "X2"),
-    }
-    assert ("X3", "X3") not in g.edges
 
 
 def test_graph_dot_emission():

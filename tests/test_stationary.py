@@ -9,7 +9,6 @@ from oucausal import (
     Verdict,
     controllability_rank,
     intervene_ou,
-    intervened_stationary_closed_form,
     spectral_abscissa,
     stationary_distribution,
     stationary_exists,
@@ -20,9 +19,11 @@ from oucausal.errors import (
     NoStationaryDistributionError,
     NotPositiveDefiniteError,
     NotSymmetricError,
-    PreconditionError,
 )
-from util import demo_triangular, gamma_by_quadrature, gershgorin_stable, random_triangular
+from util import (
+    demo_triangular, gamma_by_quadrature, gershgorin_stable, intervened_stationary_closed_form,
+    random_triangular,
+)
 
 ROTATING = np.array([[1.0, 7.0], [-1.0, -3.0]])
 
@@ -368,14 +369,3 @@ def test_closed_form_untouched_coordinate_mean():
         law = intervened_stationary_closed_form(b, a, c, "X2")
         assert law.mean[1] == a[2]
 
-
-def test_closed_form_preconditions():
-    a = np.zeros(3)
-    lower = np.array([[-1.0, 0.0, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -1.0]])
-    with pytest.raises(PreconditionError):
-        intervened_stationary_closed_form(lower, a, 0.0, "X2")
-    nonneg = np.diag([-1.0, 0.5, -1.0])
-    with pytest.raises(PreconditionError):
-        intervened_stationary_closed_form(nonneg, a, 0.0, "X2")
-    with pytest.raises(PreconditionError):
-        intervened_stationary_closed_form(-np.eye(3), a, 0.0, "X5")

@@ -2,10 +2,8 @@
 
 import numpy as np
 
-from oucausal import OuModel, matkit, stability
-from oucausal.errors import (
-    DimensionError, NoStationaryDistributionError, OuCausalError, PreconditionError,
-)
+from oucausal import GaussianLaw, OuModel, matkit, stability
+from oucausal.errors import DimensionError, NoStationaryDistributionError, OuCausalError
 
 
 class EmptyResultError(OuCausalError):
@@ -103,9 +101,9 @@ def gamma_by_quadrature(model: OuModel, t_end: float | None = None,
     if t_end is None:
         t_end = 40.0 / abs(stability.spectral_abscissa(model.B))
     if t_end <= 0:
-        raise PreconditionError("t_end must be positive")
+        raise ValueError("t_end must be positive")
     if n < 2:
-        raise PreconditionError("n must be >= 2")
+        raise ValueError("n must be >= 2")
     panels = n + (n % 2)
     h = t_end / panels
     step = matkit.expm(h * model.B)
@@ -123,3 +121,45 @@ def gamma_by_quadrature(model: OuModel, t_end: float | None = None,
             weight = 2.0
         acc += weight * g
     return (h / 3.0) * acc
+
+
+def intervened_stationary_closed_form(b, a, c: float, which: str) -> GaussianLaw:
+    """Closed-form stationary law of the two surviving coordinates after
+    pinning one coordinate of the 3-dimensional triangular benchmark model.
+
+    The oracle for `intervene_seq` followed by `stationary_distribution`.
+    The setting is a 3-dimensional OU model with sigma = I and upper
+    triangular B with strictly negative diagonal; the inputs are not
+    checked. Pinning X2 := c leaves coordinates (X1, X3) with
+
+        mean = [a1 - (b12/b11) (c - a2), a3]
+        cov  = [[-1/(2 b11) - b13^2 / (2 b11 b33 (b11 + b33)),
+                 b13 / (2 b33 (b11 + b33))],
+                [b13 / (2 b33 (b11 + b33)), -1/(2 b33)]]
+
+    and pinning X3 := c (`which` = "X3") leaves (X1, X2) with
+
+        mean = [a1 - (b13/b11 - b12 b23 / (b11 b22)) (c - a3),
+                a2 - (b23/b22) (c - a3)]
+        cov  = same form with (b12, b22) in place of (b13, b33).
+
+    The covariance formulas remain valid when the two diagonal entries
+    coincide, so no separate branch is needed, and they do not involve c.
+    """
+    (b11, b12, b13), (_, b22, b23), (_, _, b33) = np.asarray(b, dtype=float)
+    a1, a2, a3 = np.asarray(a, dtype=float)
+    if which == "X2":
+        mean = np.array([a1 - (b12 / b11) * (c - a2), a3])
+        b1k, bkk = b13, b33  # X1's coupling to the other survivor, and its rate
+    else:
+        mean = np.array([
+            a1 - (b13 / b11 - b12 * b23 / (b11 * b22)) * (c - a3),
+            a2 - (b23 / b22) * (c - a3),
+        ])
+        b1k, bkk = b12, b22
+    off = b1k / (2.0 * bkk * (b11 + bkk))
+    cov = np.array([
+        [-1.0 / (2.0 * b11) - b1k**2 / (2.0 * b11 * bkk * (b11 + bkk)), off],
+        [off, -1.0 / (2.0 * bkk)],
+    ])
+    return GaussianLaw(mean, cov)
